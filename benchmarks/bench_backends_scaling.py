@@ -18,10 +18,11 @@ The acceptance series for the backend architecture:
   ≥ 10× speedup over the *identical* trajectory, plus per-step cost
   measurements at two sizes showing the compiled engine's cost is O(deg)
   while the reference's grows with n;
-* the **batch section** (``@pytest.mark.batch``): the vectorized multi-seed
+* the **batch section** (``@pytest.mark.batch``): the count-level lockstep
   batch engine (:mod:`repro.core.vector_batch`) against the sequential
-  per-run loop at B ∈ {32, 256, 2048}, asserting ≥ 5× runs/sec at B=2048 on
-  a count-eligible clique scenario and byte-identical batches throughout;
+  per-run loop at B ∈ {1, 2, 4, 8, 16, 32, 256, 2048}, asserting ≥ 5×
+  runs/sec at B=2048 on a count-eligible clique scenario and byte-identical
+  batches throughout;
   plus the non-clique series: the lockstep per-node engine
   (:mod:`repro.core.vector_pernode`) on the 2,000-node cycle majority
   instance, asserting ≥ 3× runs/sec at B=512.
@@ -185,11 +186,11 @@ def test_compiled_pernode_step_cost_is_degree_bound(benchmark, ab):
 def test_vectorized_batch_throughput(benchmark, ab):
     """Acceptance criterion: ≥ 5× runs/sec at B=2048 on a count-eligible clique.
 
-    The vectorized multi-seed engine runs all B seeds of a ``run_many`` batch
-    in lockstep (shared successor-graph memoisation, one ``(B, |states|)``
-    count matrix, array-form streak accounting); the sequential per-run loop
-    is the oracle it must beat *and* byte-identically reproduce — the
-    ``identical_batches`` flag asserts both on every entry.
+    The count-level lockstep engine runs all B seeds of a ``run_many`` batch
+    side by side (shared successor-graph memoisation, one scalar streak
+    driver per row); the sequential per-run loop is the oracle it must beat
+    *and* byte-identically reproduce — the ``identical_batches`` flag
+    asserts both on every entry.
     """
     stats = benchmark.pedantic(
         batch_throughput,
@@ -197,7 +198,6 @@ def test_vectorized_batch_throughput(benchmark, ab):
             "clique-majority",
             {"a": 3_000, "b": 600},
             {"max_steps": 200_000, "stability_window": 200},
-            (32, 256, 2048),
         ),
         rounds=1,
         iterations=1,
@@ -225,7 +225,7 @@ def test_vectorized_batch_population_throughput(benchmark, ab):
     win is the shared pair tables and node analysis amortising over B (no
     ≥ 5× floor here; byte-identity is still asserted on every entry).  This
     keeps the committed full-scale artifact's ``batch`` section the same
-    shape as ``python -m repro bench``'s (both series, three batch sizes).
+    shape as ``python -m repro bench``'s (both series, every batch size).
     """
     stats = benchmark.pedantic(
         batch_throughput,
@@ -233,7 +233,6 @@ def test_vectorized_batch_population_throughput(benchmark, ab):
             "population-threshold",
             {"a": 60, "b": 40, "k": 3},
             {"max_steps": 200_000},
-            (32, 256, 2048),
         ),
         rounds=1,
         iterations=1,
@@ -255,14 +254,14 @@ def test_lockstep_pernode_batch_throughput(benchmark, ab):
 
     The non-clique counterpart of the count-level batch benchmark: all B
     seeds of the compiled per-node engine run in lockstep (shared memoised
-    view table, per-row O(deg) configuration updates, array-form streak
-    accounting), against the sequential per-run loop it must beat *and*
+    view table, per-row O(deg) configuration updates, per-row streak
+    deadlines), against the sequential per-run loop it must beat *and*
     byte-identically reproduce (``identical_batches`` asserts both on every
     entry).
     """
     stats = benchmark.pedantic(
         pernode_batch_throughput,
-        args=(ab, 2_000, 1_100, 8_000, (64, 512)),
+        args=(ab, 2_000, 1_100, 8_000),
         rounds=1,
         iterations=1,
     )

@@ -33,11 +33,6 @@ from dataclasses import dataclass
 from repro.core.results import RunResult, Verdict
 from repro.obs.metrics import get_metrics
 
-try:  # numpy accelerates percentile aggregation; the fallback is pure python
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 _DECIDED = (Verdict.ACCEPT, Verdict.REJECT)
 
 
@@ -114,8 +109,6 @@ class BatchResult:
             raise ValueError("no runs executed")
         if not 0 <= percentile <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        if _np is not None:
-            return float(_np.percentile(_np.asarray(self.steps), percentile))
         ordered = sorted(self.steps)
         if len(ordered) == 1:
             return float(ordered[0])

@@ -1,4 +1,4 @@
-"""Shared streak/fixed-point bookkeeping for the count-level engines.
+"""Shared streak/fixed-point bookkeeping for the simulation engines.
 
 Both count-vector engines — :class:`repro.core.backends._CountRun` (clique
 machine instances) and ``PopulationProtocol._simulate_counts`` (pair
@@ -22,21 +22,19 @@ current consensus value, stabilisation step — and the two operations:
 The ``value`` tracked here is deliberately generic (``bool | None`` for the
 machine engines, :class:`~repro.core.results.Verdict` ``| None`` for the
 population engine): the driver only ever compares it for equality and against
-``None`` ("no consensus").
+``None`` ("no consensus").  The count-level lockstep engine
+(:mod:`repro.core.vector_batch`) gives every row its own driver.
 
-:class:`ArrayStreakDriver` is the same accounting lifted into array form for
-the vectorized batch engines (:mod:`repro.core.vector_batch` count-level,
-:mod:`repro.core.vector_pernode` lockstep per-node): one numpy row per
-Monte-Carlo run, with :meth:`ArrayStreakDriver.advance_silent` /
-:meth:`ArrayStreakDriver.record_active` applied to a *subset* of rows per
-lockstep iteration.  Its update rules are a transliteration of the scalar
-driver — for every row the sequence of (step, streak, value, stabilised_at)
-states is identical to what a private :class:`ConsensusStreakDriver` fed the
-same per-row events would produce, which is what makes the batch engine's
-bit-identity guarantee possible.  Consensus values are encoded as small ints
-(``-1`` = no consensus) because numpy rows cannot hold arbitrary objects;
-the encoding is private to each engine and only equality against the
-previous code matters, mirroring the scalar driver's generic ``value``.
+:class:`StreakDeadlines` is the same rule for lockstep rows that all take
+one step per iteration (:mod:`repro.core.vector_pernode`).  There every step
+counts as active, and a row's consensus value changes only when one of its
+nodes flips, so the streak of a row is simply the number of steps since its
+current non-``None`` value began.  The row therefore stabilises at exactly
+``since + window``; the class keeps that deadline per row and buckets rows
+by it, so rows cost nothing on the steps where their value does not change.
+For every row the resulting ``(steps, stabilised_at)`` is what a private
+:class:`ConsensusStreakDriver` fed one :meth:`record_active` per step would
+report, which is what keeps the lockstep engine bit-identical.
 """
 
 from __future__ import annotations
@@ -127,105 +125,54 @@ class ConsensusStreakDriver:
         return False
 
 
-class ArrayStreakDriver:
-    """:class:`ConsensusStreakDriver` over ``rows`` parallel runs (numpy).
+class StreakDeadlines:
+    """Consensus-streak deadlines of lockstep rows that step together.
 
-    All state lives in int64/int8 arrays of length ``rows``; every method
-    takes an index array selecting the rows the event applies to and returns
-    a boolean array (aligned with that index array) flagging the rows that
-    finished — stabilised, or exhausted their step budget mid-stretch.
-    Consensus values are int8 codes with ``NO_CONSENSUS`` (= -1) playing the
-    role of the scalar driver's ``None``.
+    Parameters
+    ----------
+    window, max_steps:
+        As for :class:`ConsensusStreakDriver`.
+    rows:
+        The number of rows.
+    value:
+        The consensus value every row starts from (``None`` when the shared
+        initial configuration is not a consensus).
 
-    The class is constructed lazily by the batch engine and therefore imports
-    numpy at call sites' risk: callers must only instantiate it when numpy is
-    available (the batch engine's eligibility check guarantees this).
+    The owner calls :meth:`changed` whenever a row's consensus value
+    changes, and :meth:`due` once after each lockstep step to collect the
+    rows whose streak reaches the window on that step.
     """
 
-    NO_CONSENSUS = -1
+    __slots__ = ("window", "max_steps", "deadline", "_buckets")
 
-    def __init__(self, window: int, max_steps: int, initial_values) -> None:
-        import numpy as np
-
-        self._np = np
+    def __init__(self, window: int, max_steps: int, rows: int, value: object | None):
         self.window = window
         self.max_steps = max_steps
-        values = np.asarray(initial_values, dtype=np.int8)
-        rows = values.shape[0]
-        self.step = np.zeros(rows, dtype=np.int64)
-        self.streak = np.zeros(rows, dtype=np.int64)
-        self.value = values.copy()
-        self.stabilised_at = np.full(rows, -1, dtype=np.int64)
+        #: Per row: the step its streak reaches the window, or ``None``.
+        self.deadline: list[int | None] = [None] * rows
+        self._buckets: dict[int, list[int]] = {}
+        if value is not None:
+            for row in range(rows):
+                self.changed(row, value, 0)
 
-    # ------------------------------------------------------------------ #
-    def advance_silent(self, rows, silent, values):
-        """Array form of :meth:`ConsensusStreakDriver.advance_silent`.
+    def changed(self, row: int, value: object | None, step: int) -> None:
+        """Row ``row`` holds the new consensus ``value`` from ``step`` on."""
+        if value is None:
+            self.deadline[row] = None
+            return
+        due = step + self.window
+        self.deadline[row] = due
+        if due <= self.max_steps:
+            self._buckets.setdefault(due, []).append(row)
 
-        ``rows`` selects the runs, ``silent``/``values`` are aligned with it;
-        every selected row must have ``silent > 0`` (the scalar loops only
-        call ``advance_silent`` for non-empty stretches).  Returns the
-        finished mask aligned with ``rows``.
-        """
-        np = self._np
-        rows = np.asarray(rows, dtype=np.intp)
-        silent = np.asarray(silent, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int8)
-        self.value[rows] = values
-        streak = self.streak[rows]
-        step = self.step[rows]
-        has_value = values != self.NO_CONSENSUS
-        to_stabilise = np.maximum(0, self.window - streak)
-        stabilises = (
-            has_value
-            & (streak + silent >= self.window)
-            & (step + to_stabilise <= self.max_steps)
-        )
-        stab_rows = rows[stabilises]
-        self.step[stab_rows] += to_stabilise[stabilises]
-        self.streak[stab_rows] = self.window
-        self.stabilised_at[stab_rows] = self.step[stab_rows]
-        rest = ~stabilises
-        rest_rows = rows[rest]
-        take = np.minimum(silent[rest], self.max_steps - step[rest])
-        self.step[rest_rows] += take
-        self.streak[rest_rows] += np.where(has_value[rest], take, 0)
-        finished = np.empty(rows.shape[0], dtype=bool)
-        finished[stabilises] = True
-        finished[rest] = self.step[rest_rows] >= self.max_steps
-        return finished
+    def cancel(self, row: int) -> None:
+        """Forget a row that leaves the batch without stabilising."""
+        self.deadline[row] = None
 
-    def finish_at_fixed_point(self, rows, values) -> None:
-        """Absorb the rest of each selected run at a fixed point.
-
-        Mirrors :meth:`ConsensusStreakDriver.finish_at_fixed_point`: the
-        remaining budget is one silent stretch, and every selected row is
-        finished afterwards (stabilised mid-stretch or exhausted).
-        """
-        np = self._np
-        rows = np.asarray(rows, dtype=np.intp)
-        self.advance_silent(rows, self.max_steps - self.step[rows], values)
-
-    def record_active(self, rows, values):
-        """Array form of :meth:`ConsensusStreakDriver.record_active`.
-
-        Returns the mask (aligned with ``rows``) of rows whose streak reached
-        the window on this step.
-        """
-        np = self._np
-        rows = np.asarray(rows, dtype=np.intp)
-        values = np.asarray(values, dtype=np.int8)
-        self.step[rows] += 1
-        previous = self.value[rows]
-        extends = (values != self.NO_CONSENSUS) & (values == previous)
-        self.streak[rows] = np.where(extends, self.streak[rows] + 1, 0)
-        self.value[rows] = values
-        finished = self.streak[rows] >= self.window
-        done_rows = rows[finished]
-        self.stabilised_at[done_rows] = self.step[done_rows]
-        return finished
-
-    def exhausted(self, rows):
-        """Mask (aligned with ``rows``) of rows whose step budget is spent."""
-        np = self._np
-        rows = np.asarray(rows, dtype=np.intp)
-        return self.step[rows] >= self.max_steps
+    def due(self, step: int) -> list[int]:
+        """The rows that stabilise on ``step`` (stale bucket entries skipped)."""
+        rows = self._buckets.pop(step, None)
+        if not rows:
+            return []
+        deadline = self.deadline
+        return [row for row in rows if deadline[row] == step]

@@ -1,4 +1,4 @@
-"""The vectorized multi-seed batch engine: all runs of a batch in lockstep.
+"""The count-level multi-seed batch engine: all runs of a batch in lockstep.
 
 ``Workload.run_many`` historically executed its ``B`` Monte-Carlo runs one at
 a time through a Python loop, so sweep throughput scaled linearly with the
@@ -6,32 +6,32 @@ run count even on the count backend, where every run is just arithmetic on a
 small count vector.  This module runs all ``B`` seeds of a count-eligible
 batch *in lockstep*:
 
-* the per-run configurations live in one ``(B, |states|)`` numpy count
-  matrix, updated with batched column operations (``np.add.at`` /
-  ``np.subtract.at`` over the rows that took an active step this iteration);
-* consensus streaks are tracked by
-  :class:`~repro.core.streaks.ArrayStreakDriver` — the scalar
-  :class:`~repro.core.streaks.ConsensusStreakDriver` lifted into array form;
-* finished rows (stabilised, fixed point, or step budget spent) are retired
-  from the active mask, so early-finishing rows stop consuming work;
 * the per-step transition work (mover enumeration, δ evaluation, consensus
   of the count vector) is memoised in a *successor graph* shared by every
-  row: each distinct count vector is analysed exactly once per batch, and
-  rows walk the graph by reference.  Monte-Carlo trajectories of one
-  instance revisit the same count vectors constantly, so this is where the
-  batch beats ``B`` independent runs.
+  row: each distinct count vector is analysed exactly once per batch into a
+  :class:`_Node`, and rows walk the graph by reference.  Monte-Carlo
+  trajectories of one instance revisit the same count vectors constantly,
+  so this is where the batch beats ``B`` independent runs;
+* a row's configuration *is* its current node — ``row_node[j].counts`` is
+  row ``j``'s count vector, so no per-row count storage exists and a
+  retired row's final configuration is read straight off its node;
+* each row owns a scalar :class:`~repro.core.streaks.ConsensusStreakDriver`
+  (silent stretches make the rows' step counts diverge, so there is no
+  shared step counter to exploit);
+* each lockstep iteration makes one pass over the live rows, and finished
+  rows (stabilised, fixed point, or step budget spent) drop out of the live
+  list, so early-finishing rows stop consuming work.
 
-**Bit-identity guarantee.**  The vectorized engine produces *byte-identical*
+**Bit-identity guarantee.**  The lockstep engine produces *byte-identical*
 :class:`~repro.core.batch.BatchResult`\\ s to the sequential per-run loop
 (:meth:`~repro.workloads.base.Workload.run_many_sequential`, kept verbatim
 as the differential oracle).  Two contracts make this possible:
 
 1. **Seed derivation** — row ``j`` draws from its own private
    ``random.Random(derive_seed(base_seed, j))``, exactly the generator the
-   sequential loop hands to run ``j``.  Batched draws *gather from the
-   per-row generators*; there is no shared batch-level stream, because any
-   shared stream would entangle the rows and break single-run
-   reproducibility.
+   sequential loop hands to run ``j``.  There is no shared batch-level
+   stream, because any shared stream would entangle the rows and break
+   single-run reproducibility.
 2. **Draw-for-draw replay** — per row, the engine consumes uniforms in
    exactly the sequential order (one geometric silent-stretch draw when the
    activity probability is below one, then one weighted mover draw per
@@ -77,31 +77,21 @@ from repro.core.configuration import configuration_from_counts, consensus_of_cou
 from repro.core.machine import Neighborhood
 from repro.core.results import RunResult, Verdict
 from repro.core.scheduler import RandomExclusiveSchedule
-from repro.core.streaks import ArrayStreakDriver
+from repro.core.streaks import ConsensusStreakDriver
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import trace_event
-
-try:  # numpy carries the count matrix; without it batches fall back to the loop
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 _log1p = math.log1p
 _MISS = object()  # cache-miss sentinel (None can be a legitimate cached value)
 
-#: Consensus codes used by the array driver (``value`` column semantics).
-_NONE = ArrayStreakDriver.NO_CONSENSUS  # -1: no consensus
-_FALSE = 0
-_TRUE = 1
-
 _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
 
 
-def _code(value) -> int:
-    """Encode a consensus value (``bool | None``) as an int8 driver code."""
+def consensus_verdict(value: bool | None) -> Verdict:
+    """The run verdict of a consensus value (``None`` = no consensus)."""
     if value is None:
-        return _NONE
-    return _TRUE if value else _FALSE
+        return Verdict.UNDECIDED
+    return Verdict.ACCEPT if value else Verdict.REJECT
 
 
 def quorum_abandon_bound(results: list, early_stop: tuple) -> int | None:
@@ -147,34 +137,29 @@ def quorum_abandon_bound(results: list, early_stop: tuple) -> int | None:
 class _Node:
     """One distinct count vector of the batch, analysed exactly once.
 
-    Holds the mover table (enumeration order identical to the sequential
-    engine's), the precomputed geometric denominator ``log1p(-p)`` and the
-    cumulative integer weights for the mover draw, plus lazily-built
-    references to the successor node of each mover.  ``sub``/``add`` are the
-    interned column indices the count matrix must decrement/increment when a
-    row takes the corresponding mover.
+    Holds the count vector itself, its consensus value, the mover table
+    (enumeration order identical to the sequential engine's), the
+    precomputed geometric denominator ``log1p(-p)`` and the cumulative
+    integer weights for the mover draw, plus lazily-built references to the
+    successor node of each mover.
     """
 
     __slots__ = (
         "counts",
-        "consensus_code",
+        "consensus",
         "mass",
         "log_denom",
         "cum",
-        "sub",
-        "add",
         "movers",
         "successors",
     )
 
-    def __init__(self, counts, consensus_code, mass, log_denom, cum, sub, add, movers):
+    def __init__(self, counts, consensus, mass, log_denom, cum, movers):
         self.counts = counts
-        self.consensus_code = consensus_code
+        self.consensus = consensus  # bool | None
         self.mass = mass
         self.log_denom = log_denom  # None when the activity probability is >= 1
         self.cum = cum
-        self.sub = sub
-        self.add = add
         self.movers = movers
         self.successors: list = [None] * len(cum)
 
@@ -189,11 +174,11 @@ class _Node:
 
 
 class _LockstepRun:
-    """Shared lockstep driver: count matrix, array streaks, active mask.
+    """Shared lockstep driver: successor graph, per-row streaks, live rows.
 
     Subclasses provide the dynamics — :meth:`_build_node` (mover enumeration
     and δ evaluation for one count vector) and :meth:`_apply` (the count
-    deltas of one mover) — and the finish semantics of their sequential
+    vector after one mover) — and the finish semantics of their sequential
     engine (:meth:`_retire`, :meth:`_finish_fixed`).
 
     ``memo_cap`` (``EngineOptions.memo_cap``) bounds the successor-graph
@@ -210,8 +195,6 @@ class _LockstepRun:
         self.window = window
         self.max_steps = max_steps
         self.memo_cap = memo_cap
-        self._states: list = []  # interned states, index = matrix column
-        self._index: dict = {}
         self._nodes: dict = {}
         self._node_cached = True  # whether the last _node_for hit/stored the cache
         # Telemetry accumulators: plain ints on the hot path, flushed once
@@ -223,18 +206,9 @@ class _LockstepRun:
         self._delta_misses = 0
         self._delta_evictions = 0
 
-    # -- state interning ------------------------------------------------- #
-    def _intern(self, state) -> int:
-        column = self._index.get(state)
-        if column is None:
-            column = len(self._states)
-            self._index[state] = column
-            self._states.append(state)
-        return column
-
     def _node_for(self, counts: dict) -> _Node:
         """The (shared, memoised) node of a count vector."""
-        key = tuple(sorted((self._intern(s), c) for s, c in counts.items()))
+        key = frozenset(counts.items())
         node = self._nodes.get(key)
         if node is not None:
             self._node_cached = True
@@ -251,14 +225,15 @@ class _LockstepRun:
         return node
 
     def _successor(self, node: _Node, index: int) -> _Node:
-        succ = node.successors[index]
-        if succ is None:
-            succ = self._node_for(self._apply(node, index))
-            if self._node_cached:
-                node.successors[index] = succ
+        succ = self._node_for(self._apply(node, index))
+        if self._node_cached:
+            node.successors[index] = succ
         return succ
 
     # -- hooks ----------------------------------------------------------- #
+    def _initial_counts(self) -> dict:
+        raise NotImplementedError
+
     def _build_node(self, counts: dict) -> _Node:
         raise NotImplementedError
 
@@ -268,7 +243,7 @@ class _LockstepRun:
     def _retire(self, row: int, node: _Node) -> RunResult:
         raise NotImplementedError
 
-    def _finish_fixed(self, rows: list, nodes: list) -> None:
+    def _finish_fixed(self, row: int, node: _Node) -> RunResult:
         raise NotImplementedError
 
     # -- the lockstep loop ----------------------------------------------- #
@@ -297,122 +272,63 @@ class _LockstepRun:
         ``keep_results=False``, the executor's record path) opts out of
         holding O(B·n) states alive for nothing.
         """
-        np = _np
         batch = len(rngs)
         self.materialise_configurations = materialise_configurations
         rands = [rng.random for rng in rngs]
         initial = self._node_for(self._initial_counts())
-        self.row_node: list[_Node] = [initial] * batch
-        self.driver = ArrayStreakDriver(
-            self.window, self.max_steps, [initial.consensus_code] * batch
-        )
-        self.results: list[RunResult | None] = [None] * batch
-        width = len(self._states)
-        matrix = np.zeros((batch, width), dtype=np.int64)
-        for state, count in initial.counts.items():
-            matrix[:, self._index[state]] = count
-        self.matrix = matrix
+        row_node: list[_Node] = [initial] * batch
+        self.drivers = drivers = [
+            ConsensusStreakDriver(self.window, self.max_steps, initial.consensus)
+            for _ in range(batch)
+        ]
+        results: list[RunResult | None] = [None] * batch
+        max_steps = self.max_steps
+        successor = self._successor
+        retire = self._retire
         alive = list(range(batch))
-        driver = self.driver
-        row_node = self.row_node
         # Retirement-reason tally (plain ints; flushed once when metrics on).
-        track = get_metrics().enabled
-        stabilised_rows = fixed_rows_total = exhausted_rows = silent_total = 0
+        stabilised_rows = fixed_rows = exhausted_rows = silent_total = 0
         while alive:
-            retired = False
-            fixed_rows: list[int] = []
-            live_rows: list[int] = []
-            silent_values: list[int] = []
-            live_codes: list[int] = []
+            survivors: list[int] = []
             for j in alive:
                 node = row_node[j]
                 if node.mass == 0:
-                    fixed_rows.append(j)
+                    results[j] = self._finish_fixed(j, node)
+                    fixed_rows += 1
                     continue
-                if node.log_denom is None:  # activity probability >= 1: no draw
-                    silent = 0
-                else:
+                driver = drivers[j]
+                if node.log_denom is not None:  # activity probability < 1
                     silent = int(_log1p(-rands[j]()) / node.log_denom)
-                live_rows.append(j)
-                silent_values.append(silent)
-                live_codes.append(node.consensus_code)
-            if track and silent_values:
-                silent_total += sum(silent_values)
-            if fixed_rows:
-                self._finish_fixed(fixed_rows, [row_node[j] for j in fixed_rows])
-                fixed_rows_total += len(fixed_rows)
-                retired = True
-            survivors: list[int] = []
-            if live_rows:
-                rows = np.array(live_rows, dtype=np.intp)
-                silent_arr = np.array(silent_values, dtype=np.int64)
-                has_silent = silent_arr > 0
-                if has_silent.any():
-                    stretch_rows = rows[has_silent]
-                    finished = driver.advance_silent(
-                        stretch_rows,
-                        silent_arr[has_silent],
-                        np.array(live_codes, dtype=np.int8)[has_silent],
-                    )
-                    for j in stretch_rows[finished]:
-                        self.results[j] = self._retire(int(j), row_node[j])
-                        stabilised_rows += 1
-                        retired = True
-                    survivors = rows[~has_silent].tolist()
-                    survivors.extend(int(j) for j in stretch_rows[~finished])
-                else:
-                    survivors = live_rows
-            if not survivors:
-                alive = []
-                continue
-            sub_rows: list[int] = []
-            sub_cols: list[int] = []
-            add_rows: list[int] = []
-            add_cols: list[int] = []
-            new_codes: list[int] = []
-            for j in survivors:
-                node = row_node[j]
+                    if silent > 0:
+                        silent_total += silent
+                        if driver.advance_silent(silent, node.consensus):
+                            results[j] = retire(j, node)
+                            stabilised_rows += 1
+                            continue
                 index = node.pick(rands[j]() * node.mass)
-                succ = self._successor(node, index)
+                succ = node.successors[index]
+                if succ is None:
+                    succ = successor(node, index)
                 row_node[j] = succ
-                for column in node.sub[index]:
-                    sub_rows.append(j)
-                    sub_cols.append(column)
-                for column in node.add[index]:
-                    add_rows.append(j)
-                    add_cols.append(column)
-                new_codes.append(succ.consensus_code)
-            if len(self._states) > self.matrix.shape[1]:  # new states interned
-                grown = np.zeros((batch, len(self._states)), dtype=np.int64)
-                grown[:, : self.matrix.shape[1]] = self.matrix
-                self.matrix = grown
-            np.subtract.at(self.matrix, (sub_rows, sub_cols), 1)
-            np.add.at(self.matrix, (add_rows, add_cols), 1)
-            active_rows = np.array(survivors, dtype=np.intp)
-            finished = driver.record_active(
-                active_rows, np.array(new_codes, dtype=np.int8)
-            )
-            for j in active_rows[finished]:
-                self.results[j] = self._retire(int(j), row_node[j])
-                stabilised_rows += 1
-                retired = True
-            remaining = active_rows[~finished]
-            exhausted = driver.exhausted(remaining)
-            for j in remaining[exhausted]:
-                self.results[j] = self._retire(int(j), row_node[j])
-                exhausted_rows += 1
-                retired = True
-            alive = remaining[~exhausted].tolist()
-            if retired and early_stop is not None and alive:
-                bound = quorum_abandon_bound(self.results, early_stop)
+                if driver.record_active(succ.consensus):
+                    results[j] = retire(j, succ)
+                    stabilised_rows += 1
+                elif driver.step >= max_steps:
+                    results[j] = retire(j, succ)
+                    exhausted_rows += 1
+                else:
+                    survivors.append(j)
+            if early_stop is not None and survivors and len(survivors) < len(alive):
+                bound = quorum_abandon_bound(results, early_stop)
                 if bound is not None:
-                    alive = [j for j in alive if j < bound]
+                    survivors = [j for j in survivors if j < bound]
+            alive = survivors
         metrics = get_metrics()
         if metrics.enabled:
-            abandoned = sum(1 for result in self.results if result is None)
+            abandoned = results.count(None)
             metrics.counter("engine.runs", engine=self.engine).inc(batch - abandoned)
             metrics.counter("engine.steps", engine=self.engine).inc(
-                int(driver.step.sum())
+                sum(driver.step for driver in drivers)
             )
             if silent_total:
                 metrics.counter(
@@ -420,7 +336,7 @@ class _LockstepRun:
                 ).inc(silent_total)
             for reason, count in (
                 ("stabilised", stabilised_rows),
-                ("fixed-point", fixed_rows_total),
+                ("fixed-point", fixed_rows),
                 ("exhausted", exhausted_rows),
                 ("quorum-abandoned", abandoned),
             ):
@@ -436,18 +352,7 @@ class _LockstepRun:
                     metrics.counter("memo.misses", table=table).inc(misses)
                 if evictions:
                     metrics.counter("memo.evictions", table=table).inc(evictions)
-        return self.results  # type: ignore[return-value]
-
-    def _initial_counts(self) -> dict:
-        raise NotImplementedError
-
-    def _matrix_counts(self, row: int) -> dict:
-        """The count dict of a matrix row — the retirement read-back path."""
-        return {
-            self._states[column]: int(count)
-            for column, count in enumerate(self.matrix[row])
-            if count
-        }
+        return results  # type: ignore[return-value]
 
 
 class _MachineLockstep(_LockstepRun):
@@ -489,8 +394,6 @@ class _MachineLockstep(_LockstepRun):
         delta_cache = self._delta_cache
         memo_cap = self.memo_cap
         cum: list[int] = []
-        sub: list[tuple[int, ...]] = []
-        add: list[tuple[int, ...]] = []
         movers: list[tuple] = []
         mass = 0
         for state in sorted(counts, key=repr):
@@ -514,13 +417,10 @@ class _MachineLockstep(_LockstepRun):
             if nxt != state:
                 mass += counts[state]
                 cum.append(mass)
-                sub.append((self._intern(state),))
-                add.append((self._intern(nxt),))
                 movers.append((state, nxt))
         log_denom = _log1p(-(mass / self.n)) if 0 < mass < self.n else None
         return _Node(
-            counts, _code(consensus_of_counts(machine, counts)), mass, log_denom,
-            cum, sub, add, movers,
+            counts, consensus_of_counts(machine, counts), mass, log_denom, cum, movers
         )
 
     def _apply(self, node: _Node, index: int):
@@ -532,29 +432,21 @@ class _MachineLockstep(_LockstepRun):
         counts[nxt] = counts.get(nxt, 0) + 1
         return counts
 
-    def _finish_fixed(self, rows: list, nodes: list) -> None:
-        self.driver.finish_at_fixed_point(
-            rows, [node.consensus_code for node in nodes]
-        )
-        for j, node in zip(rows, nodes):
-            self.results[j] = self._retire(j, node)
+    def _finish_fixed(self, row: int, node: _Node) -> RunResult:
+        self.drivers[row].finish_at_fixed_point(node.consensus)
+        return self._retire(row, node)
 
     def _retire(self, row: int, node: _Node) -> RunResult:
-        code = node.consensus_code
-        if code == _NONE:
-            verdict = Verdict.UNDECIDED
-        else:
-            verdict = Verdict.ACCEPT if code == _TRUE else Verdict.REJECT
-        stabilised = int(self.driver.stabilised_at[row])
+        driver = self.drivers[row]
         return RunResult(
-            verdict=verdict,
-            steps=int(self.driver.step[row]),
+            verdict=consensus_verdict(node.consensus),
+            steps=driver.step,
             final_configuration=(
-                configuration_from_counts(self._matrix_counts(row))
+                configuration_from_counts(node.counts)
                 if self.materialise_configurations
                 else ()
             ),
-            stabilised_at=None if stabilised < 0 else stabilised,
+            stabilised_at=driver.stabilised_at,
             trace=None,
         )
 
@@ -580,7 +472,6 @@ class _PopulationLockstep(_LockstepRun):
         self._initial = {s: c for s, c in counts.items() if c > 0}
         self._delta_cache: dict = {}
         self._pair_tables: dict = {}
-        self._forced_undecided: set[int] = set()
 
     def _initial_counts(self) -> dict:
         return self._initial
@@ -591,9 +482,9 @@ class _PopulationLockstep(_LockstepRun):
         Which ordered pairs are non-silent (``δ(p, q) ≠ (p, q)``) depends
         only on the occupied states, not on their counts, and the number of
         distinct occupied sets is tiny compared to the number of distinct
-        count vectors — so the δ evaluations, interning and pair ordering
-        are factored out here and :meth:`_build_node` only computes weights.
-        The enumeration order (sorted states, nested p/q loops) is the
+        count vectors — so the δ evaluations and pair ordering are factored
+        out here and :meth:`_build_node` only computes weights.  The
+        enumeration order (sorted states, nested p/q loops) is the
         sequential engine's, so the mover order — and hence the weighted
         draw — is identical.
         """
@@ -611,34 +502,21 @@ class _PopulationLockstep(_LockstepRun):
                         delta_cache[key] = outcome
                     if outcome != key:
                         p2, q2 = outcome
-                        table.append(
-                            (
-                                p,
-                                q,
-                                p is q or p == q,
-                                (self._intern(p), self._intern(q)),
-                                (self._intern(p2), self._intern(q2)),
-                                (p, q, p2, q2),
-                            )
-                        )
+                        table.append((p, q, p is q or p == q, (p, q, p2, q2)))
             self._pair_tables[states] = table
         return table
 
     def _build_node(self, counts: dict) -> _Node:
         cum: list[int] = []
-        sub: list[tuple[int, ...]] = []
-        add: list[tuple[int, ...]] = []
         movers: list[tuple] = []
         mass = 0
         states = tuple(sorted(counts, key=repr))
-        for p, q, same, sub_cols, add_cols, mover in self._pair_table(states):
+        for p, q, same, mover in self._pair_table(states):
             weight = counts[p] * (counts[q] - (1 if same else 0))
             if weight <= 0:
                 continue
             mass += weight
             cum.append(mass)
-            sub.append(sub_cols)
-            add.append(add_cols)
             movers.append(mover)
         log_denom = (
             _log1p(-(mass / self.total_pairs))
@@ -646,7 +524,7 @@ class _PopulationLockstep(_LockstepRun):
             else None
         )
         value = consensus_of_counts(self.protocol, counts)
-        return _Node(counts, _code(value), mass, log_denom, cum, sub, add, movers)
+        return _Node(counts, value, mass, log_denom, cum, movers)
 
     def _apply(self, node: _Node, index: int):
         p, q, p2, q2 = node.movers[index]
@@ -661,40 +539,24 @@ class _PopulationLockstep(_LockstepRun):
         counts[q2] = counts.get(q2, 0) + 1
         return counts
 
-    def _finish_fixed(self, rows: list, nodes: list) -> None:
-        decided_rows = [
-            j for j, node in zip(rows, nodes) if node.consensus_code != _NONE
-        ]
-        if decided_rows:
-            self.driver.finish_at_fixed_point(
-                decided_rows,
-                [self.row_node[j].consensus_code for j in decided_rows],
+    def _finish_fixed(self, row: int, node: _Node) -> RunResult:
+        if node.consensus is None:
+            # The scalar engine returns (UNDECIDED, max_steps) here — the
+            # verdict is decided now or never, and the full budget is
+            # reported regardless of the steps actually taken.
+            return RunResult(
+                verdict=Verdict.UNDECIDED, steps=self.max_steps, final_configuration=()
             )
-        for j, node in zip(rows, nodes):
-            if node.consensus_code == _NONE:
-                # The scalar engine returns (UNDECIDED, max_steps) here —
-                # the verdict is decided now or never, and the full budget
-                # is reported regardless of the steps actually taken.
-                self._forced_undecided.add(j)
-            self.results[j] = self._retire(j, node)
+        self.drivers[row].finish_at_fixed_point(node.consensus)
+        return self._retire(row, node)
 
     def _retire(self, row: int, node: _Node) -> RunResult:
-        if row in self._forced_undecided:
-            return RunResult(
-                verdict=Verdict.UNDECIDED,
-                steps=self.max_steps,
-                final_configuration=(),
-            )
-        code = int(self.driver.value[row])
-        if code == _NONE:
-            verdict = Verdict.UNDECIDED
-        else:
-            verdict = Verdict.ACCEPT if code == _TRUE else Verdict.REJECT
+        driver = self.drivers[row]
         # The population engines report plain (verdict, steps): no node
         # identities, no stabilisation step (matching PopulationWorkload.run).
         return RunResult(
-            verdict=verdict,
-            steps=int(self.driver.step[row]),
+            verdict=consensus_verdict(driver.value),
+            steps=driver.step,
             final_configuration=(),
         )
 
@@ -796,8 +658,6 @@ class VectorizedBatchBackend(BatchBackend):
         stable code — ``resolve_batch_backend`` reports it in the
         ``batch-fallback`` trace event so silent fallbacks are visible.
         """
-        if _np is None:
-            return None, "numpy-missing"
         from repro.workloads.machine import MachineWorkload
         from repro.workloads.population import PopulationWorkload, _MACHINE_BACKENDS
 
@@ -894,8 +754,10 @@ def resolve_batch_backend(workload) -> BatchBackend | None:
     count-level, else the per-node lockstep engine
     (:mod:`repro.core.vector_pernode`) whenever the per-run engine is the
     compiled per-node one (non-clique machine instances, shipped compiled
-    workloads), else the sequential per-run loop (``None``; also the answer
-    whenever numpy is unavailable).  Deterministic workloads never reach
+    workloads), else the sequential per-run loop (``None``).  Both lockstep
+    engines are plain Python, so the answer depends on the workload alone —
+    never on which optional packages are installed, and never on the batch
+    size.  Deterministic workloads never reach
     this resolver — ``Workload.run_many`` handles them with the
     simulate-once-and-replicate shortcut first, which no batch engine can
     beat.

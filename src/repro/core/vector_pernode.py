@@ -1,15 +1,14 @@
 """Lockstep multi-seed batching for the compiled per-node engine.
 
-PR 5 gave count-eligible batches (clique machine instances, population
-protocols) the vectorized lockstep treatment in
-:mod:`repro.core.vector_batch`; everything *degree-structured* — the cycles,
-lines, stars, grids and rings of cliques the paper distinguishes from
-cliques by their bounded-degree views — still executed its ``B`` Monte-Carlo
-runs one at a time through :func:`repro.core.compile.run_compiled`.  This
-module closes that gap: all ``B`` seeds of a non-clique batch advance as a
-``(B, n)`` integer configuration matrix, one lockstep exclusive step per
+:mod:`repro.core.vector_batch` gives count-eligible batches (clique machine
+instances, population protocols) the lockstep treatment; everything
+*degree-structured* — the cycles, lines, stars, grids and rings of cliques
+the paper distinguishes from cliques by their bounded-degree views — would
+otherwise execute its ``B`` Monte-Carlo runs one at a time through
+:func:`repro.core.compile.run_compiled`.  This module runs all ``B`` seeds of
+a non-clique batch in lockstep instead: one exclusive step per row per
 iteration, with the per-row work amortised against shared per-instance
-analysis.
+analysis.  All per-row state is plain Python lists.
 
 **Bit-identity guarantee.**  Row ``j`` replays sequential run ``j``
 draw-for-draw: it owns a private ``random.Random(derive_seed(base_seed, j))``
@@ -20,19 +19,22 @@ step, inlined as the rejection-sampled ``getrandbits`` loop that
 every intermediate draw is identical, not merely statistically equivalent.
 Transitions resolve through the *same* compiled δ table
 (:class:`~repro.core.compile.CompiledMachine`, shared per machine across all
-rows and with the sequential engine), consensus is tracked with the same
-per-verdict node counters, and stabilisation bookkeeping is the
-:class:`~repro.core.streaks.ArrayStreakDriver` — the array form of the
-scalar streak rule ``run_compiled`` applies.  The differential suite asserts
-full :class:`~repro.core.results.RunResult` equality against
+rows and with the sequential engine), and consensus is tracked with the same
+per-verdict node counters.  The differential suite asserts full
+:class:`~repro.core.results.RunResult` equality against
 :meth:`~repro.workloads.base.Workload.run_many_sequential` across the
 graph-family × schedule × batch-size matrix.
 
-(The sequential engine also breaks on a long *quiet* streak, but that branch
-is provably subsumed: during a quiet stretch the configuration — hence the
-consensus value — is frozen, so the consensus streak grows at least as fast
-and is checked first.  The driver therefore reproduces ``stabilised_at``
-exactly with the consensus rule alone.)
+**Stabilisation.**  Every live row has taken exactly ``step`` steps, and a
+row's consensus value changes only when one of its nodes flips.  So the
+scalar streak rule of ``run_compiled`` reduces to a deadline: a row
+stabilises at ``since + window``, where ``since`` is the step at which its
+current non-``None`` value began.  :class:`~repro.core.streaks.StreakDeadlines`
+keeps that deadline per row, bucketed by due step, so a silent step costs a
+row nothing beyond its node draw.  (The sequential engine also breaks on a
+long *quiet* streak, but that branch is provably subsumed: during a quiet
+stretch the configuration — hence the consensus value — is frozen, so the
+consensus streak grows at least as fast and is checked first.)
 
 **What is shared, what is per-row.**  Per row: the ``n`` interned state ids,
 the accept/reject node counters, and a *pending-move* vector caching each
@@ -67,21 +69,15 @@ import random
 
 from repro.core.backends import COMPILED_BACKEND, resolve_backend
 from repro.core.compile import canonical_view_key, compile_machine
-from repro.core.results import RunResult, Verdict
+from repro.core.results import RunResult
 from repro.core.scheduler import RandomExclusiveSchedule
-from repro.core.streaks import ArrayStreakDriver
-from repro.core.vector_batch import BatchBackend, quorum_abandon_bound
+from repro.core.streaks import StreakDeadlines
+from repro.core.vector_batch import (
+    BatchBackend,
+    consensus_verdict,
+    quorum_abandon_bound,
+)
 from repro.obs.metrics import get_metrics
-
-try:  # numpy carries the driver arrays; without it batches fall back to the loop
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-#: Consensus codes used by the array driver (``value`` column semantics).
-_NONE = ArrayStreakDriver.NO_CONSENSUS  # -1: no consensus
-_FALSE = 0
-_TRUE = 1
 
 #: Pending-move sentinels (successor ids are >= 0, so negatives are free).
 _SILENT = -1  # the node's next state equals its current state
@@ -190,7 +186,6 @@ class _PerNodeLockstep:
         list bit-for-bit, which is only the sequential stream for the
         stdlib generator (exactly what seeded schedules construct).
         """
-        np = _np
         batch = len(rngs)
         n = self.n
         compiled = self.compiled
@@ -205,33 +200,29 @@ class _PerNodeLockstep:
         init_acc = sum(1 for s in init if acc[s])
         init_rej = sum(1 for s in init if rej[s])
         # Accept-first tie-break, mirroring consensus_value / run_compiled.
-        init_code = _TRUE if init_acc == n else _FALSE if init_rej == n else _NONE
+        init_value = True if init_acc == n else False if init_rej == n else None
         pending0 = self._initial_pending()
 
         states = [list(init) for _ in range(batch)]
         pending = [list(pending0) for _ in range(batch)]
         num_acc = [init_acc] * batch
         num_rej = [init_rej] * batch
-        codes = np.full(batch, init_code, dtype=np.int8)
-        driver = ArrayStreakDriver(self.window, self.max_steps, [init_code] * batch)
+        values = [init_value] * batch
+        max_steps = self.max_steps
+        deadlines = StreakDeadlines(self.window, max_steps, batch, init_value)
+        changed = deadlines.changed
         results: list[RunResult | None] = [None] * batch
 
-        def retire(j: int) -> RunResult:
-            code = int(codes[j])
-            if code == _NONE:
-                verdict = Verdict.UNDECIDED
-            else:
-                verdict = Verdict.ACCEPT if code == _TRUE else Verdict.REJECT
-            stabilised = int(driver.stabilised_at[j])
+        def retire(j: int, step: int, stabilised_at: int | None) -> RunResult:
             return RunResult(
-                verdict=verdict,
-                steps=int(driver.step[j]),
+                verdict=consensus_verdict(values[j]),
+                steps=step,
                 final_configuration=(
                     tuple(compiled.state_of(s) for s in states[j])
                     if materialise_configurations
                     else ()
                 ),
-                stabilised_at=None if stabilised < 0 else stabilised,
+                stabilised_at=stabilised_at,
                 trace=None,
             )
 
@@ -239,17 +230,12 @@ class _PerNodeLockstep:
         # on a dense node list is _randbelow(n), i.e. rejection sampling on
         # bit_length(n) random bits.  Bound methods are hoisted per row.
         bits = n.bit_length()
-        draws = [rng.getrandbits for rng in rngs]
-
-        alive_np = np.arange(batch, dtype=np.intp)
         # (row, bound getrandbits, pending vector) triples — the hot loop's
         # working set, rebuilt only when the active set changes.
-        alive_rows = [(j, draws[j], pending[j]) for j in range(batch)]
-        record = driver.record_active
-        max_steps = self.max_steps
+        alive_rows = [(j, rngs[j].getrandbits, pending[j]) for j in range(batch)]
         step = 0
-        # Retirement-reason tally (plain ints; flushed once when metrics on).
-        stabilised_rows = exhausted_rows = 0
+        # Per-row step totals and retirement-reason tally (flushed once).
+        total_steps = stabilised_rows = exhausted_rows = 0
         while alive_rows:
             step += 1
             for j, g, pj in alive_rows:
@@ -276,45 +262,44 @@ class _PerNodeLockstep:
                 pj[v] = _UNRESOLVED
                 for u in adj[v]:
                     pj[u] = _UNRESOLVED
-                codes[j] = _TRUE if na == n else _FALSE if nr == n else _NONE
-            finished = record(alive_np, codes[alive_np])
-            retired = False
-            if finished.any():
-                retired = True
-                for jj in alive_np[finished]:
-                    j = int(jj)
-                    results[j] = retire(j)
-                    stabilised_rows += 1
-                alive_np = alive_np[~finished]
-            if step >= max_steps and alive_np.size:
+                value = True if na == n else False if nr == n else None
+                if value is not values[j]:
+                    values[j] = value
+                    changed(j, value, step)
+            retiring = deadlines.due(step)
+            for j in retiring:
+                results[j] = retire(j, step, step)
+            stabilised_rows += len(retiring)
+            if step >= max_steps:
                 # Every live row has taken exactly `step` steps, so the
-                # budget runs out for all of them at once (the per-row
-                # driver.exhausted check of the count engine degenerates to
-                # this scalar comparison).
-                retired = True
-                for jj in alive_np:
-                    results[int(jj)] = retire(int(jj))
-                    exhausted_rows += 1
-                alive_np = alive_np[:0]
-            if retired:
-                if early_stop is not None and alive_np.size:
+                # budget runs out for all of them at once.
+                for j, _, _ in alive_rows:
+                    if results[j] is None:
+                        results[j] = retire(j, step, None)
+                        retiring.append(j)
+                        exhausted_rows += 1
+            if retiring:
+                total_steps += step * len(retiring)
+                alive_rows = [row for row in alive_rows if results[row[0]] is None]
+                if early_stop is not None and alive_rows:
                     bound = quorum_abandon_bound(results, early_stop)
                     if bound is not None:
-                        alive_np = alive_np[alive_np < bound]
-                alive_rows = [(int(j), draws[j], pending[j]) for j in alive_np]
+                        for j, _, _ in alive_rows:
+                            if j >= bound:
+                                deadlines.cancel(j)
+                                total_steps += step
+                        alive_rows = [row for row in alive_rows if row[0] < bound]
 
         compiled.record_lookups(self.hits, self.misses)
         self.hits = 0
         self.misses = 0
         metrics = get_metrics()
         if metrics.enabled:
-            abandoned = sum(1 for result in results if result is None)
+            abandoned = results.count(None)
             metrics.counter("engine.runs", engine="vector-pernode").inc(
                 batch - abandoned
             )
-            metrics.counter("engine.steps", engine="vector-pernode").inc(
-                int(driver.step.sum())
-            )
+            metrics.counter("engine.steps", engine="vector-pernode").inc(total_steps)
             for reason, count in (
                 ("stabilised", stabilised_rows),
                 ("exhausted", exhausted_rows),
@@ -358,8 +343,6 @@ class VectorizedPerNodeBatchBackend(BatchBackend):
         ``run_compiled`` under a seeded random-exclusive schedule by
         construction.
         """
-        if _np is None:
-            return None, "numpy-missing"
         from repro.workloads.machine import CompiledMachineWorkload, MachineWorkload
 
         options = workload.options

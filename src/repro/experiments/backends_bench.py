@@ -165,44 +165,46 @@ def pernode_step_cost_scaling(
     }
 
 
-def batch_throughput(
-    scenario: str,
-    params: dict,
-    engine: dict,
-    batch_sizes: tuple[int, ...],
-    base_seed: int = 11,
-) -> list[dict]:
-    """Sequential vs vectorized ``run_many`` throughput at several batch sizes.
+#: Batch sizes of the count-level ``batch`` series: the small-B range the
+#: executor's chunks hit (B ≤ 16) and the large-B range where the shared
+#: successor-graph cache pays.
+COUNT_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 256, 2048)
+#: Batch sizes of the per-node ``batch`` series (largest last).
+PERNODE_BATCH_SIZES = (1, 2, 4, 8, 16, 64, 512)
+#: Small batches finish in milliseconds, so each batch size is repeated
+#: until at least this many runs were timed, keeping each engine's fastest
+#: repeat (the first repeat also pays any cold-cache cost).
+_MIN_TIMED_RUNS = 32
 
-    One entry per batch size ``B``: the same workload runs ``B`` seeds through
-    the per-run loop (``run_many_sequential``) and through the vectorized
-    lockstep engine (``run_many``, which dispatches to it for count-eligible
-    workloads), and the entry records both runs/sec figures plus their ratio
-    as ``speedup``.  The two batches are compared for equality on the way —
-    a free differential check riding along with every benchmark run
-    (``identical_batches``).
+
+def _batch_entries(workload, batch_sizes, base_seed: int, name: str, **fields) -> list[dict]:
+    """Lockstep ``run_many`` vs ``run_many_sequential`` at each batch size.
+
+    Raises ``AssertionError`` if the two batches differ at any size: a
+    speedup over a loop the lockstep engine does not reproduce means nothing.
     """
-    from repro.workloads import EngineOptions, InstanceSpec, build_workload
-
-    workload = build_workload(
-        InstanceSpec(scenario, dict(params), EngineOptions(**engine))
-    )
     entries: list[dict] = []
     for runs in batch_sizes:
-        start = time.perf_counter()
-        vectorized = workload.run_many(runs=runs, base_seed=base_seed)
-        vectorized_time = time.perf_counter() - start
-        start = time.perf_counter()
-        sequential = workload.run_many_sequential(runs=runs, base_seed=base_seed)
-        sequential_time = time.perf_counter() - start
+        vectorized_time = sequential_time = float("inf")
+        for _ in range(-(-_MIN_TIMED_RUNS // runs)):
+            start = time.perf_counter()
+            vectorized = workload.run_many(runs=runs, base_seed=base_seed)
+            vectorized_time = min(vectorized_time, time.perf_counter() - start)
+            start = time.perf_counter()
+            sequential = workload.run_many_sequential(runs=runs, base_seed=base_seed)
+            sequential_time = min(sequential_time, time.perf_counter() - start)
+            if vectorized != sequential:
+                raise AssertionError(
+                    f"{name}: the lockstep batch differs from the sequential "
+                    f"loop at B={runs}"
+                )
         entries.append(
             {
                 "section": "batch",
-                "name": f"batch-{scenario}-B{runs}",
-                "scenario": scenario,
-                "params": dict(params),
+                "name": f"batch-{name}-B{runs}",
+                **fields,
                 "runs": runs,
-                "identical_batches": vectorized == sequential,
+                "identical_batches": True,
                 "consensus": vectorized.consensus.value,
                 "sequential_time": sequential_time,
                 "vectorized_time": vectorized_time,
@@ -214,12 +216,40 @@ def batch_throughput(
     return entries
 
 
+def batch_throughput(
+    scenario: str,
+    params: dict,
+    engine: dict,
+    batch_sizes: tuple[int, ...] = COUNT_BATCH_SIZES,
+    base_seed: int = 11,
+) -> list[dict]:
+    """Sequential vs vectorized ``run_many`` throughput at several batch sizes.
+
+    One entry per batch size ``B``: the same workload runs ``B`` seeds through
+    the per-run loop (``run_many_sequential``) and through the lockstep
+    engine (``run_many``, which dispatches to it for count-eligible
+    workloads), and the entry records both runs/sec figures plus their ratio
+    as ``speedup``.  The two batches are compared for equality at every
+    ``B`` — a free differential check riding along with every benchmark run
+    (``identical_batches``; a mismatch raises).
+    """
+    from repro.workloads import EngineOptions, InstanceSpec, build_workload
+
+    workload = build_workload(
+        InstanceSpec(scenario, dict(params), EngineOptions(**engine))
+    )
+    return _batch_entries(
+        workload, batch_sizes, base_seed, scenario,
+        scenario=scenario, params=dict(params),
+    )
+
+
 def pernode_batch_throughput(
     ab: Alphabet,
     n: int,
     a_count: int,
     max_steps: int,
-    batch_sizes: tuple[int, ...],
+    batch_sizes: tuple[int, ...] = PERNODE_BATCH_SIZES,
     base_seed: int = 13,
 ) -> list[dict]:
     """Sequential vs lockstep per-node ``run_many`` throughput, non-clique.
@@ -230,9 +260,8 @@ def pernode_batch_throughput(
     every row runs the full step budget and the wall-time ratio is a clean
     per-step throughput comparison), run as ``B``-seed batches through
     ``run_many`` vs ``run_many_sequential``.  Entry schema matches
-    :func:`batch_throughput`, with the equality of the two batches recorded
-    as ``identical_batches`` — the bit-identity differential check riding
-    along with every benchmark run.
+    :func:`batch_throughput`, with the equality of the two batches checked
+    at every ``B`` (``identical_batches``; a mismatch raises).
     """
     from repro.workloads import EngineOptions, MachineWorkload
 
@@ -243,33 +272,10 @@ def pernode_batch_throughput(
         graph=cycle_graph(ab, labels, name=f"cycle-{n}"),
         options=EngineOptions(max_steps=max_steps, stability_window=10**9),
     )
-    entries: list[dict] = []
-    for runs in batch_sizes:
-        start = time.perf_counter()
-        vectorized = workload.run_many(runs=runs, base_seed=base_seed)
-        vectorized_time = time.perf_counter() - start
-        start = time.perf_counter()
-        sequential = workload.run_many_sequential(runs=runs, base_seed=base_seed)
-        sequential_time = time.perf_counter() - start
-        entries.append(
-            {
-                "section": "batch",
-                "name": f"batch-cycle-majority-B{runs}",
-                "scenario": "cycle-majority",
-                "graph": "cycle",
-                "n": n,
-                "steps": max_steps,
-                "runs": runs,
-                "identical_batches": vectorized == sequential,
-                "consensus": vectorized.consensus.value,
-                "sequential_time": sequential_time,
-                "vectorized_time": vectorized_time,
-                "sequential_runs_per_sec": runs / max(sequential_time, 1e-9),
-                "vectorized_runs_per_sec": runs / max(vectorized_time, 1e-9),
-                "speedup": sequential_time / max(vectorized_time, 1e-9),
-            }
-        )
-    return entries
+    return _batch_entries(
+        workload, batch_sizes, base_seed, "cycle-majority",
+        scenario="cycle-majority", graph="cycle", n=n, steps=max_steps,
+    )
 
 
 def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> dict:
@@ -301,7 +307,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
              pn_ref_steps=1_500,
              batch_machine={"a": 600, "b": 120},
              batch_population={"a": 60, "b": 40, "k": 3},
-             pb_steps=2_000, pb_sizes=(64, 512))
+             pb_steps=2_000)
         if quick
         else dict(n=10_000, a_count=5_500, per_node_budget=800, count_max_steps=400_000,
                   e2e_n=600, e2e_a=330, agents=10_000,
@@ -309,7 +315,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
                   pn_ref_steps=4_000,
                   batch_machine={"a": 3_000, "b": 600},
                   batch_population={"a": 60, "b": 40, "k": 3},
-                  pb_steps=8_000, pb_sizes=(64, 512))
+                  pb_steps=8_000)
     )
     entries: list[dict] = []
     stats = compare_backends(
@@ -338,16 +344,14 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
             ),
         }
     )
-    # The "batch" section: Monte-Carlo sweep throughput of the vectorized
-    # multi-seed engine vs the sequential per-run loop, at the ISSUE's three
-    # batch sizes, on a count-eligible clique machine scenario and a
-    # population scenario.
+    # The "batch" section: Monte-Carlo sweep throughput of the lockstep
+    # engines vs the sequential per-run loop across the whole B range, on a
+    # count-eligible clique machine scenario and a population scenario ...
     entries.extend(
         batch_throughput(
             "clique-majority",
             scale["batch_machine"],
             {"max_steps": 200_000, "stability_window": 200},
-            (32, 256, 2048),
         )
     )
     entries.extend(
@@ -355,14 +359,9 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
             "population-threshold",
             scale["batch_population"],
             {"max_steps": 200_000},
-            (32, 256, 2048),
         )
     )
-    # Non-clique series: the lockstep per-node batch engine on the n=2000
-    # cycle majority instance (acceptance bar: >= 3x runs/sec at B >= 512).
-    entries.extend(
-        pernode_batch_throughput(
-            ab, 2_000, 1_100, scale["pb_steps"], scale["pb_sizes"]
-        )
-    )
+    # ... and the lockstep per-node engine on the n=2000 cycle majority
+    # instance (acceptance bar: >= 3x runs/sec at B >= 512).
+    entries.extend(pernode_batch_throughput(ab, 2_000, 1_100, scale["pb_steps"]))
     return entries

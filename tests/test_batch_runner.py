@@ -160,9 +160,9 @@ class TestPopulationRunMany:
         assert one.consensus is Verdict.REJECT
 
 
-class TestPercentileFallback:
-    """The pure-python percentile branch (numpy ImportError path) must agree
-    with numpy's linear-interpolated percentile on odd and even sample sizes."""
+class TestStepPercentile:
+    """``step_percentile`` is linear interpolation between closest ranks
+    (numpy's default method), on odd and even sample sizes."""
 
     SAMPLES = (
         [7],
@@ -182,28 +182,23 @@ class TestPercentileFallback:
             base_seed=0,
         )
 
-    def test_pure_python_fallback_matches_numpy(self, monkeypatch):
-        numpy = pytest.importorskip("numpy")
-        import repro.core.batch as batch_module
+    def test_hand_computed_values(self):
+        batch = self._batch_for([40, 10, 30, 20])
+        assert batch.step_percentile(0) == 10.0
+        assert batch.step_percentile(50) == pytest.approx(25.0)
+        assert batch.step_percentile(75) == pytest.approx(32.5)
+        assert batch.step_percentile(100) == 40.0
 
-        assert batch_module._np is not None, "toolchain ships numpy"
-        expected = {
-            (tuple(steps), pct): float(numpy.percentile(numpy.asarray(steps), pct))
-            for steps in self.SAMPLES
-            for pct in self.PERCENTILES
-        }
-        monkeypatch.setattr(batch_module, "_np", None)
+    def test_matches_numpy_oracle(self):
+        numpy = pytest.importorskip("numpy")
         for steps in self.SAMPLES:
             batch = self._batch_for(steps)
             for pct in self.PERCENTILES:
                 assert batch.step_percentile(pct) == pytest.approx(
-                    expected[(tuple(steps), pct)]
+                    float(numpy.percentile(numpy.asarray(steps), pct))
                 ), f"steps={steps} percentile={pct}"
 
-    def test_fallback_single_sample_and_bounds(self, monkeypatch):
-        import repro.core.batch as batch_module
-
-        monkeypatch.setattr(batch_module, "_np", None)
+    def test_single_sample_and_bounds(self):
         batch = self._batch_for([42])
         assert batch.step_percentile(0) == 42.0
         assert batch.step_percentile(50) == 42.0

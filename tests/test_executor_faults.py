@@ -392,6 +392,32 @@ class TestCorruptResultFiles:
         assert len(records) == 7
 
 
+class TestRecordDecoding:
+    def test_loaded_records_share_key_objects(self, tmp_path):
+        spec = small_spec()
+        store = ResultStore(tmp_path)
+        written = [
+            {
+                "task_id": f"exists-label:0:{index}",
+                "params": {"a": index, "b": 2},
+                "status": "ok",
+                "steps": 10 * index,
+                "wall_time": 0.5,
+            }
+            for index in range(3)
+        ]
+        assert store.append(spec, written) == 3
+        loaded = store.load(spec)
+        assert loaded == written
+        first, second = loaded[0], loaded[1]
+        for key in first:
+            (other,) = [k for k in second if k == key]
+            assert other is key, key
+        (params_a,) = [k for k in first["params"] if k == "a"]
+        (params_b,) = [k for k in second["params"] if k == "a"]
+        assert params_a is params_b
+
+
 class TestStatsFold:
     def test_fold_stats_reports_executor_section(self, tmp_path, faults, monkeypatch):
         from repro.obs.metrics import enable_metrics

@@ -21,7 +21,7 @@ import pytest
 from repro.core.batch import derive_seed
 from repro.core.labels import Alphabet, LabelCount
 from repro.core.results import Verdict
-from repro.core.streaks import ArrayStreakDriver, ConsensusStreakDriver
+from repro.core.streaks import ConsensusStreakDriver, StreakDeadlines
 from repro.core.vector_batch import VECTOR_BATCH, resolve_batch_backend
 from repro.population import PopulationProtocol
 from repro.workloads import (
@@ -30,8 +30,6 @@ from repro.workloads import (
     PopulationWorkload,
     build_workload,
 )
-
-np = pytest.importorskip("numpy")
 
 pytestmark = pytest.mark.batch
 
@@ -317,78 +315,87 @@ class TestEdgeCases:
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
         assert engine._delta_cache  # capped views genuinely share entries
 
-    def test_count_matrix_matches_final_counts(self):
-        """The (B, |states|) matrix rows agree with the per-run results."""
-        from repro.core.configuration import state_counts
-
-        workload = _workload("clique-majority", {"a": 7, "b": 4}, {})
-        plan = VECTOR_BATCH._plan(workload)
-        engine = plan(workload)
-        seeds = [derive_seed(0, j) for j in range(5)]
-        results = engine.run([random.Random(seed) for seed in seeds])
-        for row, result in enumerate(results):
-            assert engine._matrix_counts(row) == state_counts(
-                result.final_configuration
+    def test_final_configurations_match_sequential(self):
+        """Rows keep no count storage of their own: a retired row's final
+        configuration is materialised from its successor-graph node, and must
+        equal the sequential engine's for every row."""
+        for name, params in (
+            ("clique-majority", {"a": 7, "b": 4}),
+            ("exists-label", {"a": 1, "b": 4, "graph": "clique"}),
+            ("threshold-broadcast", {"a": 2, "b": 2, "k": 2, "graph": "clique"}),
+        ):
+            workload = _workload(name, params, {})
+            lockstep = workload.run_many(runs=6, base_seed=2, keep_results=True)
+            sequential = workload.run_many_sequential(
+                runs=6, base_seed=2, keep_results=True
             )
+            got = [result.final_configuration for result in lockstep.results]
+            assert got == [
+                result.final_configuration for result in sequential.results
+            ], name
+            assert all(len(config) == workload.graph.num_nodes for config in got)
 
 
-class TestArrayStreakDriver:
-    """The array driver replayed event-for-event against scalar drivers."""
+class TestStreakDeadlines:
+    """The lockstep deadline rule replayed against scalar streak drivers.
 
-    CODES = {None: ArrayStreakDriver.NO_CONSENSUS, False: 0, True: 1}
+    Every live lockstep row takes one step per iteration and every step
+    counts as active, so a scalar driver is fed one ``record_active`` per
+    step; the deadline rule only hears about steps that change the row's
+    consensus value.  Both must report the same ``(steps, stabilised_at)``.
+    """
 
-    def test_random_event_sequences_match_scalar(self):
+    def test_random_flip_sequences_match_scalar(self):
         rng = random.Random(42)
-        for trial in range(30):
+        values = (None, False, True)
+        for trial in range(200):
             window = rng.randint(1, 12)
-            max_steps = rng.randint(5, 200)
-            rows = rng.randint(1, 5)
-            values = [rng.choice([None, False, True]) for _ in range(rows)]
+            max_steps = rng.randint(1, 120)
+            rows = rng.randint(1, 6)
+            initial = rng.choice(values)
+            flip_rate = rng.choice((0.05, 0.3, 0.9))
             scalars = [
-                ConsensusStreakDriver(window, max_steps, value) for value in values
+                ConsensusStreakDriver(window, max_steps, initial) for _ in range(rows)
             ]
-            array = ArrayStreakDriver(
-                window, max_steps, [self.CODES[value] for value in values]
-            )
-            finished = [False] * rows
-            for _ in range(60):
-                live = [j for j in range(rows) if not finished[j]]
-                if not live:
-                    break
-                event = rng.choice(["silent", "active", "fixed"])
-                value_draw = [rng.choice([None, False, True]) for _ in live]
-                codes = [self.CODES[value] for value in value_draw]
-                if event == "silent":
-                    stretch = [rng.randint(1, 20) for _ in live]
-                    expected = [
-                        scalars[j].advance_silent(stretch[k], value_draw[k])
-                        for k, j in enumerate(live)
-                    ]
-                    got = array.advance_silent(live, stretch, codes)
-                elif event == "active":
-                    expected = [
-                        scalars[j].record_active(value_draw[k])
-                        for k, j in enumerate(live)
-                    ]
-                    got = array.record_active(live, codes)
-                else:
-                    expected = [
-                        scalars[j].finish_at_fixed_point(value_draw[k])
-                        for k, j in enumerate(live)
-                    ]
-                    array.finish_at_fixed_point(live, codes)
-                    got = [True] * len(live)
-                assert list(got) == expected, (trial, event)
-                for k, j in enumerate(live):
-                    # Scalar loops stop driving a run once it finishes or its
-                    # budget is spent; mirror that here.
-                    if expected[k] or scalars[j].exhausted:
-                        finished[j] = True
+            expected: list = [None] * rows
+            deadlines = StreakDeadlines(window, max_steps, rows, initial)
+            current = [initial] * rows
+            got: list = [None] * rows
+            step = 0
+            while any(outcome is None for outcome in got):
+                step += 1
                 for j in range(rows):
-                    assert array.step[j] == scalars[j].step
-                    assert array.streak[j] == scalars[j].streak
-                    assert array.value[j] == self.CODES[scalars[j].value]
-                    stabilised = array.stabilised_at[j]
-                    assert (None if stabilised < 0 else stabilised) == scalars[
-                        j
-                    ].stabilised_at
+                    if got[j] is not None:
+                        continue
+                    value = current[j]
+                    if rng.random() < flip_rate:  # a flip; silent otherwise
+                        value = rng.choice(values)
+                    if expected[j] is None:
+                        driver = scalars[j]
+                        if driver.record_active(value) or driver.exhausted:
+                            expected[j] = (driver.step, driver.stabilised_at)
+                    if value is not current[j]:
+                        current[j] = value
+                        deadlines.changed(j, value, step)
+                for j in deadlines.due(step):
+                    got[j] = (step, step)
+                if step >= max_steps:
+                    for j in range(rows):
+                        if got[j] is None:
+                            got[j] = (step, None)
+            assert got == expected, (trial, window, max_steps, initial)
+
+    def test_cancelled_rows_never_come_due(self):
+        deadlines = StreakDeadlines(3, 10, 2, True)
+        deadlines.cancel(1)
+        assert deadlines.due(3) == [0]
+        deadlines.changed(0, None, 4)
+        deadlines.changed(1, False, 4)
+        assert [deadlines.due(step) for step in range(4, 11)] == [
+            [], [], [], [1], [], [], []
+        ]
+
+    def test_deadlines_past_the_budget_are_not_bucketed(self):
+        deadlines = StreakDeadlines(5, 4, 3, False)
+        assert deadlines.deadline == [5, 5, 5]
+        assert all(deadlines.due(step) == [] for step in range(1, 6))

@@ -50,8 +50,6 @@ from repro.workloads import (
 )
 from repro.workloads.catalog import local_majority_machine
 
-np = pytest.importorskip("numpy")
-
 pytestmark = pytest.mark.batch
 
 AB = Alphabet.of("a", "b")
