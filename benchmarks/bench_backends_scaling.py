@@ -25,7 +25,11 @@ The acceptance series for the backend architecture:
   batches throughout;
   plus the non-clique series: the lockstep per-node engine
   (:mod:`repro.core.vector_pernode`) on the 2,000-node cycle majority
-  instance, asserting ≥ 3× runs/sec at B=512.
+  instance, asserting ≥ 3× runs/sec at B=512;
+* the **exact section**: the exact decider's compiled kernel
+  (:func:`repro.core.verification.explore`, :class:`repro.core.compile.GraphStepper`)
+  against the reference ``successor`` relation on threshold-DAF cycles and
+  on the §6.1 ⟨cancel⟩ rounds, checking equal successors throughout.
 
 The measurement code is shared with ``python -m repro bench``
 (:mod:`repro.experiments.backends_bench`), and every stat collected here is
@@ -52,6 +56,7 @@ from repro.experiments.backends_bench import (
     compare_backends,
     compare_pernode_backends,
     end_to_end_comparison,
+    exact_entries,
     pernode_batch_throughput,
     pernode_step_cost_scaling,
 )
@@ -277,6 +282,25 @@ def test_lockstep_pernode_batch_throughput(benchmark, ab):
             f"{entry['sequential_runs_per_sec']:.0f} runs/s, lockstep "
             f"{entry['vectorized_runs_per_sec']:.0f} runs/s "
             f"(≈{entry['speedup']:.1f}×, identical batches)"
+        )
+
+
+def test_exact_kernel_against_successor(benchmark, ab):
+    """The exact section — recorded, not gated (CI's guard watches it).
+
+    The exact decider's compiled kernel against the reference ``successor``
+    relation: ``explore`` vs evaluating every (configuration, selection) edge
+    on threshold-DAF cycles of 4 and 5 nodes, and the §6.1 ⟨cancel⟩ round
+    through a ``GraphStepper`` vs ``successor``.  Each entry checks that
+    both sides produce the same successors.
+    """
+    stats = benchmark.pedantic(exact_entries, args=(ab,), rounds=1, iterations=1)
+    _BENCH_ENTRIES.extend(stats)
+    for entry in stats:
+        assert entry["identical_successors"], entry["name"]
+        print(
+            f"\n[exact] {entry['name']}: reference {entry['reference_time'] * 1e3:.1f} ms, "
+            f"compiled {entry['compiled_time'] * 1e3:.1f} ms (≈{entry['speedup']:.1f}×)"
         )
 
 

@@ -37,6 +37,11 @@ This module implements the algorithm at two levels:
    provide the route down to a plain DAf-automaton; the experiments exercise
    the extended-level protocol on large graphs and the compiled pipeline on
    small ones.
+
+Both levels evaluate ``P_cancel`` on its compiled transition tables
+(:func:`repro.core.compile.compile_machine`): :func:`run_cancellation` and
+every :meth:`BoundedDegreeMajorityProtocol.decide` step one
+:class:`~repro.core.compile.GraphStepper` through all their rounds.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.core.compile import GraphStepper, compile_machine
 from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
@@ -125,18 +131,22 @@ def run_cancellation(
     becomes silent only in the all-small case, so "fixed point" here means
     the configuration stopped changing.)
     """
-    from repro.core.configuration import initial_configuration, successor
-
-    configuration = initial_configuration(machine, graph)
-    everyone = frozenset(graph.nodes())
-    trace = [configuration]
-    for _ in range(max_steps):
-        nxt = successor(machine, graph, configuration, everyone)
-        trace.append(nxt)
-        if nxt == configuration:
-            return trace, True
-        configuration = nxt
-    return trace, False
+    stepper = GraphStepper(compile_machine(machine), graph)
+    state_of = stepper.compiled.state_of
+    ids = tuple(stepper.compiled.init_id(graph.label_of(v)) for v in graph.nodes())
+    trace = [tuple(state_of(q) for q in ids)]
+    try:
+        for _ in range(max_steps):
+            # Every node is selected: the moves are the successor.
+            nxt = tuple(stepper.moves(ids))
+            if nxt == ids:
+                trace.append(trace[-1])
+                return trace, True
+            trace.append(tuple(state_of(q) for q in nxt))
+            ids = nxt
+        return trace, False
+    finally:
+        stepper.flush()
 
 
 def cancellation_converged(configuration: Configuration, degree_bound: int) -> str | None:
@@ -225,16 +235,15 @@ class BoundedDegreeMajorityProtocol:
         ]
 
     def _cancel_round(
-        self, graph: LabeledGraph, configuration: list[AgentState]
+        self, stepper: GraphStepper, configuration: list[AgentState]
     ) -> list[AgentState]:
-        contributions = tuple(agent.contribution for agent in configuration)
-        from repro.core.configuration import successor
-
-        everyone = frozenset(graph.nodes())
-        updated = successor(self._cancel, graph, contributions, everyone)
+        """Synchronous ⟨cancel⟩ on the contributions, through the compiled P_cancel."""
+        compiled = stepper.compiled
+        ids = tuple(compiled.intern(agent.contribution) for agent in configuration)
+        state_of = compiled.state_of
         return [
-            AgentState(updated[v], configuration[v].role, configuration[v].initial)
-            for v in graph.nodes()
+            AgentState(state_of(q), agent.role, agent.initial)
+            for q, agent in zip(stepper.moves(ids), configuration)
         ]
 
     def _observed_supports(
@@ -339,7 +348,19 @@ class BoundedDegreeMajorityProtocol:
     # ------------------------------------------------------------------ #
     def step(self, graph: LabeledGraph, configuration: list[AgentState]) -> list[AgentState]:
         """One synchronous super-step: cancel, detect, broadcast."""
-        configuration = self._cancel_round(graph, configuration)
+        stepper = self._stepper(graph)
+        try:
+            return self._super_step(stepper, configuration)
+        finally:
+            stepper.flush()
+
+    def _stepper(self, graph: LabeledGraph) -> GraphStepper:
+        return GraphStepper(compile_machine(self._cancel), graph)
+
+    def _super_step(
+        self, stepper: GraphStepper, configuration: list[AgentState]
+    ) -> list[AgentState]:
+        configuration = self._cancel_round(stepper, configuration)
         configuration = self._detect_round(configuration)
         configuration = self._broadcast_round(configuration)
         return configuration
@@ -361,17 +382,22 @@ class BoundedDegreeMajorityProtocol:
                 f"graph has degree {graph.max_degree()} > bound {self.degree_bound}"
             )
         configuration = self.initial_configuration(graph)
-        for step in range(1, max_steps + 1):
-            configuration = self.step(graph, configuration)
-            if all(agent.role == "reject" for agent in configuration):
-                return Verdict.REJECT, step
-            roles = {agent.role for agent in configuration}
-            clean = "error" not in roles and "reject" not in roles
-            if clean and all(agent.contribution >= 0 for agent in configuration):
-                # With no pending errors the contribution sum is the (possibly
-                # doubled) input sum; it is non-negative and can never turn
-                # all-negative again, so the run will never reject: accept.
-                return Verdict.ACCEPT, step
+        stepper = self._stepper(graph)
+        try:
+            for step in range(1, max_steps + 1):
+                configuration = self._super_step(stepper, configuration)
+                if all(agent.role == "reject" for agent in configuration):
+                    return Verdict.REJECT, step
+                roles = {agent.role for agent in configuration}
+                clean = "error" not in roles and "reject" not in roles
+                if clean and all(agent.contribution >= 0 for agent in configuration):
+                    # With no pending errors the contribution sum is the
+                    # (possibly doubled) input sum; it is non-negative and can
+                    # never turn all-negative again, so the run will never
+                    # reject: accept.
+                    return Verdict.ACCEPT, step
+        finally:
+            stepper.flush()
         # No reject within the budget: under stable consensus this is the
         # accepting behaviour (the true sum is ≥ 0 and doubling continues
         # forever), but we flag it as only presumed.

@@ -24,7 +24,19 @@ pickle), so the sweep executor has to rebuild instances inside every worker.
   an optional picklable ``loader`` callable the first time it meets a view it
   has not seen (raising :class:`CompiledMachineUnbound` if it has no loader).
 
-:func:`run_compiled` is the incremental per-node engine built on top: the
+Two kinds of engine are built on top.  The exact decider
+(:mod:`repro.core.verification`) and the §6.1 bounded-majority protocol
+(:mod:`repro.constructions.bounded_majority`) evaluate whole configurations
+at a time: a :class:`GraphStepper` answers, for a tuple of state ids, every
+node's move, memoising per local view for the length of one exploration or
+one protocol run.  Neither calls
+:func:`~repro.core.configuration.successor`, which stays the reference the
+differential tests compare them against.  The table entries these long
+explorations leave behind share their ``(state id, count)`` pairs through a
+per-machine intern pool, so a large table costs one pair object per distinct
+pair rather than one per key.
+
+:func:`run_compiled` is the incremental per-node engine: the
 configuration is a mutable int array, every node caches its neighbour-multiset
 count vector (updated in O(deg) when a neighbour flips), and consensus is
 tracked through per-verdict node counters — so one exclusive step costs
@@ -39,6 +51,7 @@ configuration.  The differential suite asserts this across graph families.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.machine import DistributedMachine, Neighborhood, State
@@ -116,6 +129,7 @@ class CompiledMachine:
         self._rejecting: list[bool] = []
         self._init_ids: dict = {}  # label -> id, eagerly filled (finite alphabet)
         self._table: dict[int, dict[ViewKey, int]] = {}  # state id -> view -> id
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}  # key-pair intern pool
         self._machine: DistributedMachine | None = machine
         for label in machine.alphabet.labels:
             self._init_ids[label] = self.intern(machine.initial_state(label))
@@ -221,7 +235,11 @@ class CompiledMachine:
             view = Neighborhood(counts, self.beta, total=degree)
             nxt = self.intern(machine.step(self._states[sid], view))
             if self.memo_cap is None or self._entries < self.memo_cap:
-                row[view_key] = nxt
+                # Stored keys share their (state id, count) pairs: there are
+                # at most |Q|·β distinct ones, against one tuple per pair per
+                # key otherwise.
+                pairs = self._pairs
+                row[(degree, tuple([pairs.setdefault(p, p) for p in items]))] = nxt
                 self._entries += 1
             else:
                 metrics = get_metrics()
@@ -310,6 +328,66 @@ def compile_machine(
         if memo_cap is not None:
             compiled.memo_cap = memo_cap
     return compiled
+
+
+# ---------------------------------------------------------------------- #
+# Whole-configuration moves (the exact decider's kernel)
+# ---------------------------------------------------------------------- #
+class GraphStepper:
+    """Every node's δ move on one graph, for configurations of interned ids.
+
+    :meth:`moves` answers, for a configuration given as a tuple of state ids,
+    the id each node would move to if selected.  The answers come from a
+    local-view dict keyed by the node's own id followed by its neighbours'
+    ids in adjacency order — a key that fixes the degree and the neighbour
+    multiset, so any two nodes with equal keys have equal views.  A miss
+    builds the :func:`canonical_view_key` and asks the machine's table
+    (``step_id`` evaluates δ only when the table has no entry).
+
+    A stepper lives for one exploration or one protocol run; only the
+    machine's own table outlives it.  :meth:`flush` folds its lookup counts
+    into :meth:`CompiledMachine.record_lookups`: every per-node answer is a
+    lookup, and a δ evaluation is a miss.
+    """
+
+    def __init__(self, compiled: CompiledMachine, graph: "LabeledGraph"):
+        self.compiled = compiled
+        # itemgetter(v, *neighbours) reads a node's key straight off the
+        # configuration tuple; an isolated node's key is its bare own id.
+        self._views = [itemgetter(v, *graph.neighbors(v)) for v in graph.nodes()]
+        self._local: dict = {}
+        self._lookups = 0
+        self._misses = 0
+
+    def moves(self, config: tuple[int, ...]) -> list[int]:
+        """The id every node of ``config`` moves to when it is selected."""
+        keys = [view(config) for view in self._views]
+        self._lookups += len(keys)
+        local = self._local
+        try:
+            return [local[key] for key in keys]
+        except KeyError:
+            return [local[key] if key in local else self._resolve(key) for key in keys]
+
+    def _resolve(self, key) -> int:
+        own, *neighbours = key if type(key) is tuple else (key,)
+        counts: dict[int, int] = {}
+        for q in neighbours:
+            counts[q] = counts.get(q, 0) + 1
+        compiled = self.compiled
+        view_key = canonical_view_key(len(neighbours), counts, compiled.beta)
+        row = compiled._table.get(own)
+        nxt = row.get(view_key) if row is not None else None
+        if nxt is None:
+            self._misses += 1
+            nxt = compiled.step_id(own, view_key)
+        self._local[key] = nxt
+        return nxt
+
+    def flush(self) -> None:
+        """Record this stepper's lookups on the machine (and in metrics)."""
+        self.compiled.record_lookups(self._lookups - self._misses, self._misses)
+        self._lookups = self._misses = 0
 
 
 # ---------------------------------------------------------------------- #

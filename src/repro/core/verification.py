@@ -23,6 +23,16 @@ Adversarial fairness (``f``)
     product of the configuration graph with the subset lattice of covered
     nodes.
 
+The exploration runs on the compiled transition tables of
+:mod:`repro.core.compile`: configurations are tuples of interned state ids,
+a :class:`~repro.core.compile.GraphStepper` answers every node's move once
+per configuration, and each permitted selection composes its successor from
+those moves.  The deciders work on dense configuration indices throughout
+and decode only their witness; :func:`explore` decodes the whole graph for
+callers that want states.  :func:`~repro.core.configuration.successor` is
+not on this path — it stays the reference the differential tests compare
+the exploration against.
+
 Both procedures are exponential in the number of nodes; they are intended for
 the small witness graphs used in tests and in the Figure 1 experiments
 (typically 3–7 nodes), exactly like the configuration-space arguments in the
@@ -32,20 +42,17 @@ paper's proofs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.automaton import DistributedAutomaton
-from repro.core.configuration import (
-    Configuration,
-    initial_configuration,
-    is_accepting_configuration,
-    is_rejecting_configuration,
-    successor,
-)
+from repro.core.compile import CompiledMachine, GraphStepper, compile_machine
+from repro.core.configuration import Configuration
 from repro.core.graphs import LabeledGraph
 from repro.core.machine import DistributedMachine
 from repro.core.scheduler import Fairness, Selection, SelectionMode, permitted_selections
 from repro.core.simulation import Verdict
+from repro.obs.metrics import get_metrics
+from repro.obs.tracing import get_tracer
 
 
 class StateSpaceTooLarge(RuntimeError):
@@ -73,6 +80,119 @@ class ConfigurationGraph:
         return len(self.configurations)
 
 
+@dataclass
+class _Exploration:
+    """A configuration graph over dense indices, as the deciders consume it.
+
+    ``graph`` has the configurations ``0..N-1`` in BFS order (the order
+    :func:`explore` reports); ``ids[i]`` is configuration ``i`` as a tuple of
+    interned state ids of ``compiled``.
+    """
+
+    compiled: CompiledMachine
+    ids: list[tuple[int, ...]]
+    graph: ConfigurationGraph
+
+    def decode(self, index: int) -> Configuration:
+        state_of = self.compiled.state_of
+        return tuple(state_of(q) for q in self.ids[index])
+
+    def all_in(self, flags: list[bool]) -> list[bool]:
+        """Per configuration: whether every node's state has its flag set."""
+        return [all(flags[q] for q in config) for config in self.ids]
+
+
+def _explore_ids(
+    machine: DistributedMachine,
+    graph: LabeledGraph,
+    selection_mode: SelectionMode,
+    start: Configuration | None,
+    max_configurations: int,
+) -> _Exploration:
+    """Breadth-first exploration of the reachable configuration graph on ids."""
+    if start is not None and len(start) != graph.num_nodes:
+        raise ValueError(
+            f"start configuration has {len(start)} states but the graph has "
+            f"{graph.num_nodes} nodes"
+        )
+    compiled = compile_machine(machine)
+    n = graph.num_nodes
+    # Each selection composes its successor from the per-node moves: one
+    # node replaces one slot, every node takes the moves wholesale, anything
+    # else overlays the moves of its nodes.
+    plans = []
+    for selection in permitted_selections(graph, selection_mode):
+        nodes = sorted(selection)
+        plans.append((selection, nodes[0] if len(nodes) == 1 else None, len(nodes) == n, nodes))
+    if start is None:
+        initial = tuple(compiled.init_id(graph.label_of(v)) for v in graph.nodes())
+    else:
+        initial = tuple(compiled.intern(state) for state in start)
+    tracer = get_tracer()
+    stepper = GraphStepper(compiled, graph)
+    with tracer.span("run", engine="exact", machine=compiled.name) as run:
+        index = {initial: 0}
+        ids = [initial]
+        successors: dict[int, tuple[int, ...]] = {}
+        edge_selections: dict[tuple[int, int], tuple[Selection, ...]] = {}
+        try:
+            # BFS order is index order, so the queue is a cursor into ``ids``.
+            i = 0
+            while i < len(ids):
+                config = ids[i]
+                moves = stepper.moves(config)
+                succ_map: dict[int, list[Selection]] = {}
+                for selection, single, everyone, nodes in plans:
+                    if single is not None:
+                        q = moves[single]
+                        # An unchanged slot is a self-loop: nothing to build.
+                        if q == config[single]:
+                            nxt = config
+                        else:
+                            nxt = config[:single] + (q,) + config[single + 1 :]
+                    elif everyone:
+                        nxt = tuple(moves)
+                    else:
+                        overlay = list(config)
+                        for v in nodes:
+                            overlay[v] = moves[v]
+                        nxt = tuple(overlay)
+                    j = i if nxt is config else index.get(nxt)
+                    if j is None:
+                        j = index[nxt] = len(ids)
+                        ids.append(nxt)
+                        if len(ids) > max_configurations:
+                            raise StateSpaceTooLarge(
+                                f"more than {max_configurations} reachable configurations"
+                            )
+                    sels = succ_map.get(j)
+                    if sels is None:
+                        succ_map[j] = [selection]
+                    else:
+                        sels.append(selection)
+                successors[i] = tuple(succ_map)
+                for j, sels in succ_map.items():
+                    edge_selections[(i, j)] = tuple(sels)
+                i += 1
+        finally:
+            stepper.flush()
+        if tracer.enabled:
+            run.attrs["configurations"] = len(ids)
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.counter("engine.runs", engine="exact").inc()
+    return _Exploration(
+        compiled=compiled,
+        ids=ids,
+        graph=ConfigurationGraph(
+            initial=0,
+            configurations=list(range(len(ids))),
+            successors=successors,
+            edge_selections=edge_selections,
+        ),
+    )
+
+
 def explore(
     machine: DistributedMachine,
     graph: LabeledGraph,
@@ -80,36 +200,24 @@ def explore(
     start: Configuration | None = None,
     max_configurations: int = 200_000,
 ) -> ConfigurationGraph:
-    """Breadth-first exploration of the reachable configuration graph."""
-    selections = permitted_selections(graph, selection_mode)
-    initial = start if start is not None else initial_configuration(machine, graph)
-    seen: set[Configuration] = {initial}
-    order: list[Configuration] = [initial]
-    successors: dict[Configuration, tuple[Configuration, ...]] = {}
-    edge_selections: dict[tuple[Configuration, Configuration], tuple[Selection, ...]] = {}
-    queue: deque[Configuration] = deque([initial])
-    while queue:
-        configuration = queue.popleft()
-        succ_map: dict[Configuration, list[Selection]] = {}
-        for selection in selections:
-            nxt = successor(machine, graph, configuration, selection)
-            succ_map.setdefault(nxt, []).append(selection)
-        successors[configuration] = tuple(succ_map.keys())
-        for nxt, sels in succ_map.items():
-            edge_selections[(configuration, nxt)] = tuple(sels)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-                if len(seen) > max_configurations:
-                    raise StateSpaceTooLarge(
-                        f"more than {max_configurations} reachable configurations"
-                    )
+    """Breadth-first exploration of the reachable configuration graph.
+
+    ``start`` (default: the initial configuration) must give one state per
+    node; a mismatched length raises ``ValueError`` before any exploration.
+    """
+    explored = _explore_ids(machine, graph, selection_mode, start, max_configurations)
+    order = [explored.decode(i) for i in range(len(explored.ids))]
     return ConfigurationGraph(
-        initial=initial,
+        initial=order[0],
         configurations=order,
-        successors=successors,
-        edge_selections=edge_selections,
+        successors={
+            order[i]: tuple(order[j] for j in succ)
+            for i, succ in explored.graph.successors.items()
+        },
+        edge_selections={
+            (order[i], order[j]): sels
+            for (i, j), sels in explored.graph.edge_selections.items()
+        },
     )
 
 
@@ -171,13 +279,19 @@ def strongly_connected_components(
     return components
 
 
+def _component_of(components: list[list[Configuration]]) -> dict[Configuration, int]:
+    """Configuration -> index of its component in ``components``."""
+    return {
+        configuration: idx
+        for idx, component in enumerate(components)
+        for configuration in component
+    }
+
+
 def bottom_sccs(config_graph: ConfigurationGraph) -> list[list[Configuration]]:
     """SCCs with no edge leaving them (the possible ``Inf`` sets of fair F-runs)."""
     components = strongly_connected_components(config_graph)
-    component_of: dict[Configuration, int] = {}
-    for idx, component in enumerate(components):
-        for configuration in component:
-            component_of[configuration] = idx
+    component_of = _component_of(components)
     bottoms: list[list[Configuration]] = []
     for idx, component in enumerate(components):
         is_bottom = True
@@ -220,20 +334,21 @@ def decide_pseudo_stochastic(
     only rejecting configurations.  Any other situation violates the
     consistency condition on this graph and is reported as INCONSISTENT.
     """
-    config_graph = explore(
-        machine, graph, selection_mode, max_configurations=max_configurations
-    )
-    bottoms = bottom_sccs(config_graph)
+    explored = _explore_ids(machine, graph, selection_mode, None, max_configurations)
+    bottoms = bottom_sccs(explored.graph)
+    accepting = explored.compiled._accepting
+    rejecting = explored.compiled._rejecting
     all_accepting = True
     all_rejecting = True
-    witness: Configuration | None = None
+    witness: int | None = None
     for component in bottoms:
-        for configuration in component:
-            if not is_accepting_configuration(machine, configuration):
+        for i in component:
+            config = explored.ids[i]
+            if not all(accepting[q] for q in config):
                 if all_accepting:
-                    witness = configuration
+                    witness = i
                 all_accepting = False
-            if not is_rejecting_configuration(machine, configuration):
+            if not all(rejecting[q] for q in config):
                 all_rejecting = False
     if all_accepting and not all_rejecting:
         verdict = Verdict.ACCEPT
@@ -243,9 +358,9 @@ def decide_pseudo_stochastic(
         verdict = Verdict.INCONSISTENT
     return DecisionReport(
         verdict=verdict,
-        configuration_count=config_graph.size,
+        configuration_count=len(explored.ids),
         bottom_scc_count=len(bottoms),
-        witness=witness,
+        witness=None if witness is None else explored.decode(witness),
         detail="bottom-SCC analysis (pseudo-stochastic fairness)",
     )
 
@@ -264,32 +379,26 @@ def reachable_stably_accepting(
     for rejection).  Under pseudo-stochastic fairness this is equivalent to
     the existence of an accepting fair run.
     """
-    config_graph = explore(
-        machine, graph, selection_mode, max_configurations=max_configurations
-    )
-    test = (
-        is_accepting_configuration if accepting else is_rejecting_configuration
-    )
+    explored = _explore_ids(machine, graph, selection_mode, None, max_configurations)
+    compiled = explored.compiled
+    good = explored.all_in(compiled._accepting if accepting else compiled._rejecting)
     # A configuration is stably accepting iff every configuration in its
     # forward closure is accepting.  Compute by a reverse fixed point: start
     # with the non-accepting configurations and propagate "can reach a
     # non-accepting configuration" backwards.
-    bad = {c for c in config_graph.configurations if not test(machine, c)}
-    predecessors: dict[Configuration, list[Configuration]] = {
-        c: [] for c in config_graph.configurations
-    }
-    for configuration in config_graph.configurations:
-        for nxt in config_graph.successors[configuration]:
-            predecessors[nxt].append(configuration)
-    can_reach_bad: set[Configuration] = set(bad)
-    queue = deque(bad)
+    predecessors: list[list[int]] = [[] for _ in good]
+    for i, succ in explored.graph.successors.items():
+        for j in succ:
+            predecessors[j].append(i)
+    can_reach_bad = [not ok for ok in good]
+    queue = deque(i for i, ok in enumerate(good) if not ok)
     while queue:
-        configuration = queue.popleft()
-        for pred in predecessors[configuration]:
-            if pred not in can_reach_bad:
-                can_reach_bad.add(pred)
+        i = queue.popleft()
+        for pred in predecessors[i]:
+            if not can_reach_bad[pred]:
+                can_reach_bad[pred] = True
                 queue.append(pred)
-    return any(c not in can_reach_bad for c in config_graph.configurations)
+    return not all(can_reach_bad)
 
 
 # ---------------------------------------------------------------------- #
@@ -299,19 +408,15 @@ def _exists_fair_lasso(
     config_graph: ConfigurationGraph,
     graph: LabeledGraph,
     anchors: list[Configuration],
+    component_of: dict[Configuration, int],
+    component_sets: list[set[Configuration]],
 ) -> Configuration | None:
     """Is some ``anchor`` configuration on a cycle whose selections cover all nodes?
 
     Returns a witness anchor or ``None``.  The search runs, for every anchor,
     a BFS over pairs (configuration, set of nodes covered so far) within the
-    anchor's SCC.
+    anchor's SCC (``component_sets[component_of[anchor]]``).
     """
-    components = strongly_connected_components(config_graph)
-    component_of: dict[Configuration, int] = {}
-    for idx, component in enumerate(components):
-        for configuration in component:
-            component_of[configuration] = idx
-    component_sets = [set(component) for component in components]
     all_nodes = frozenset(graph.nodes())
 
     for anchor in anchors:
@@ -361,22 +466,22 @@ def decide_adversarial(
     inconsistent on this graph; both cannot hold simultaneously (the
     synchronous run is always fair and always exists).
     """
-    config_graph = explore(
-        machine, graph, selection_mode, max_configurations=max_configurations
+    explored = _explore_ids(machine, graph, selection_mode, None, max_configurations)
+    config_graph = explored.graph
+    accepting = explored.all_in(explored.compiled._accepting)
+    rejecting = explored.all_in(explored.compiled._rejecting)
+    non_accepting = [i for i, ok in enumerate(accepting) if not ok]
+    non_rejecting = [i for i, ok in enumerate(rejecting) if not ok]
+    components = strongly_connected_components(config_graph)
+    component_of = _component_of(components)
+    component_sets = [set(component) for component in components]
+    lasso_breaking_accept = _exists_fair_lasso(
+        config_graph, graph, non_accepting, component_of, component_sets
     )
-    non_accepting = [
-        c
-        for c in config_graph.configurations
-        if not is_accepting_configuration(machine, c)
-    ]
-    non_rejecting = [
-        c
-        for c in config_graph.configurations
-        if not is_rejecting_configuration(machine, c)
-    ]
-    lasso_breaking_accept = _exists_fair_lasso(config_graph, graph, non_accepting)
     all_accept = lasso_breaking_accept is None
-    lasso_breaking_reject = _exists_fair_lasso(config_graph, graph, non_rejecting)
+    lasso_breaking_reject = _exists_fair_lasso(
+        config_graph, graph, non_rejecting, component_of, component_sets
+    )
     all_reject = lasso_breaking_reject is None
     if all_accept and not all_reject:
         verdict = Verdict.ACCEPT
@@ -386,11 +491,13 @@ def decide_adversarial(
         witness = None
     else:
         verdict = Verdict.INCONSISTENT
-        witness = lasso_breaking_accept or lasso_breaking_reject
+        witness = lasso_breaking_accept
+        if witness is None:
+            witness = lasso_breaking_reject
     return DecisionReport(
         verdict=verdict,
-        configuration_count=config_graph.size,
-        witness=witness,
+        configuration_count=len(explored.ids),
+        witness=None if witness is None else explored.decode(witness),
         detail="fair-lasso analysis (adversarial fairness)",
     )
 

@@ -297,6 +297,154 @@ def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> d
     }
 
 
+#: Repeats of each ``exact`` measurement; each side keeps its fastest.
+_EXACT_REPEATS = 3
+#: Protocol super-steps recorded per graph for the ⟨cancel⟩ round series.
+_CANCEL_ROUNDS = 40
+
+
+def _best_of(call, repeats: int = _EXACT_REPEATS):
+    """``(result, fastest wall time)`` over ``repeats`` calls of ``call``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def exact_exploration_entry(ab: Alphabet, n: int, a_count: int) -> dict:
+    """Compiled ``explore`` vs the reference ``successor`` on one DAF instance.
+
+    The instance is the threshold-DAF automaton (``x_a ≥ 2``) on an
+    ``n``-cycle.  The reference side evaluates ``successor`` on every
+    (configuration, permitted selection) edge of the explored graph — the
+    work the successor-based BFS did — and the compiled side is the whole
+    :func:`~repro.core.verification.explore` call, BFS bookkeeping and
+    decoding included.  Every reference successor is checked against the
+    explored graph; a mismatch raises ``AssertionError``.
+    """
+    from repro.constructions import threshold_daf_automaton
+    from repro.core.configuration import successor
+    from repro.core.scheduler import permitted_selections
+    from repro.core.verification import explore
+
+    automaton = threshold_daf_automaton(ab, "a", 2)
+    machine = automaton.machine
+    graph = cycle_graph(ab, ["a"] * a_count + ["b"] * (n - a_count), name=f"cycle-{n}")
+    config_graph, compiled_time = _best_of(
+        lambda: explore(machine, graph, automaton.selection)
+    )
+    selections = permitted_selections(graph, automaton.selection)
+
+    def reference() -> list:
+        return [
+            tuple(successor(machine, graph, configuration, selection) for selection in selections)
+            for configuration in config_graph.configurations
+        ]
+
+    rows, reference_time = _best_of(reference)
+    for configuration, row in zip(config_graph.configurations, rows):
+        # The distinct successors in selection order are the explored ones.
+        if tuple(dict.fromkeys(row)) != config_graph.successors[configuration]:
+            raise AssertionError(
+                f"exact cycle-{n}: explore disagrees with successor at {configuration}"
+            )
+    return {
+        "section": "exact",
+        "name": f"exact-threshold-daf-cycle-{n}",
+        "graph": "cycle",
+        "n": n,
+        "configurations": config_graph.size,
+        "edges": config_graph.size * len(selections),
+        "identical_successors": True,
+        "reference_time": reference_time,
+        "compiled_time": compiled_time,
+        "speedup": reference_time / max(compiled_time, 1e-9),
+    }
+
+
+def exact_cancel_rounds_entry(ab: Alphabet, graphs: int, n: int, seed: int = 17) -> dict:
+    """The §6.1 ⟨cancel⟩ round: reference ``successor`` vs a ``GraphStepper``.
+
+    Each of ``graphs`` random degree-≤4 graphs with ``n`` nodes contributes
+    the contribution vectors the majority protocol passes through in its
+    first super-steps (cancellation interleaved with doubling).  Both sides
+    then evaluate one synchronous ⟨cancel⟩ round from every recorded vector:
+    the reference through ``successor``, the compiled side as the protocol
+    does it — intern the contributions, ask one stepper per graph for the
+    moves, decode.  The two round results must agree (``AssertionError``
+    otherwise).
+    """
+    import random
+
+    from repro.constructions import cancellation_machine, majority_protocol_bounded
+    from repro.core.compile import GraphStepper, compile_machine
+    from repro.core.configuration import successor
+    from repro.core.graphs import random_connected_graph
+
+    protocol = majority_protocol_bounded(ab, degree_bound=4)
+    machine = cancellation_machine(ab, protocol.coefficients, protocol.degree_bound)
+    compiled = compile_machine(machine)
+    rng = random.Random(seed)
+    cases = []
+    for i in range(graphs):
+        labels = [rng.choice("ab") for _ in range(n)]
+        graph = random_connected_graph(ab, labels, max_degree=4, seed=seed * 1000 + i)
+        configuration = protocol.initial_configuration(graph)
+        vectors = []
+        for _ in range(_CANCEL_ROUNDS):
+            vectors.append(tuple(agent.contribution for agent in configuration))
+            configuration = protocol.step(graph, configuration)
+        cases.append((graph, frozenset(graph.nodes()), vectors))
+
+    def reference() -> list:
+        return [
+            successor(machine, graph, vector, everyone)
+            for graph, everyone, vectors in cases
+            for vector in vectors
+        ]
+
+    def stepped() -> list:
+        intern, state_of = compiled.intern, compiled.state_of
+        rounds = []
+        for graph, _, vectors in cases:
+            stepper = GraphStepper(compiled, graph)
+            for vector in vectors:
+                moves = stepper.moves(tuple(intern(x) for x in vector))
+                rounds.append(tuple(state_of(q) for q in moves))
+            stepper.flush()
+        return rounds
+
+    expected, reference_time = _best_of(reference)
+    actual, compiled_time = _best_of(stepped)
+    if actual != expected:
+        raise AssertionError("exact cancel rounds: the stepper disagrees with successor")
+    return {
+        "section": "exact",
+        "name": "exact-bounded-majority-cancel-rounds",
+        "graph": "random-degree-4",
+        "n": n,
+        "graphs": graphs,
+        "rounds": len(expected),
+        "identical_successors": True,
+        "reference_time": reference_time,
+        "compiled_time": compiled_time,
+        "reference_us_per_round": reference_time / len(expected) * 1e6,
+        "compiled_us_per_round": compiled_time / len(expected) * 1e6,
+        "speedup": reference_time / max(compiled_time, 1e-9),
+    }
+
+
+def exact_entries(ab: Alphabet, quick: bool = False) -> list[dict]:
+    """The ``exact`` section: the exact decider's kernel against ``successor``."""
+    return [
+        exact_exploration_entry(ab, 4, 3),
+        exact_exploration_entry(ab, 5, 3),
+        exact_cancel_rounds_entry(ab, graphs=8 if quick else 24, n=30),
+    ]
+
+
 def backend_scaling_entries(quick: bool = False) -> list[dict]:
     """The ``BENCH_backends.json`` entry list; ``quick`` shrinks the sizes."""
     ab = Alphabet.of("a", "b")
@@ -364,4 +512,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
     # ... and the lockstep per-node engine on the n=2000 cycle majority
     # instance (acceptance bar: >= 3x runs/sec at B >= 512).
     entries.extend(pernode_batch_throughput(ab, 2_000, 1_100, scale["pb_steps"]))
+    # The "exact" section: the configuration-graph decider's compiled kernel
+    # against the reference successor relation.
+    entries.extend(exact_entries(ab, quick=quick))
     return entries

@@ -57,9 +57,10 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=per-node \\| compiled \\| count \\| vector-batch"
-                        " \\| vector-pernode \\| population-<method>`",
+                        " \\| vector-pernode \\| population-<method> \\| exact`",
                         "completed runs per engine (lockstep engines count "
-                        "retired, non-abandoned rows)",
+                        "retired, non-abandoned rows; `exact` counts finished "
+                        "configuration-graph explorations)",
                     ),
                 ),
             ),

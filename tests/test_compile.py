@@ -19,7 +19,9 @@ from repro.core import (
     run_compiled,
 )
 from repro.core.backends import COMPILED_BACKEND
-from repro.core.compile import CompiledMachine
+from repro.core.compile import CompiledMachine, GraphStepper
+from repro.core.configuration import successor
+from repro.core.graphs import LabeledGraph
 from repro.constructions import exists_label_machine
 
 AB = Alphabet.of("a", "b")
@@ -233,3 +235,44 @@ class TestBackendIntegration:
         engine.run_many(machine, graph, runs=4, base_seed=5)
         assert compile_machine(machine) is compiled
         assert compiled.table_size == size_after_batch
+
+
+class TestGraphStepper:
+    @pytest.fixture
+    def sparse(self):
+        # Node 4 is isolated: its view key is its bare own id.
+        return LabeledGraph.build(AB, ["a", "b", "b", "b", "a"], [(0, 1), (1, 2), (1, 3)])
+
+    def test_moves_match_the_reference_successor(self, machine, sparse):
+        compiled = compile_machine(machine)
+        stepper = GraphStepper(compiled, sparse)
+        rng = random.Random(2)
+        states = [compiled.state_of(compiled.init_id(label)) for label in ("a", "b")]
+        for _ in range(20):
+            configuration = tuple(rng.choice(states) for _ in sparse.nodes())
+            moves = stepper.moves(tuple(compiled.intern(s) for s in configuration))
+            for v in sparse.nodes():
+                expected = successor(machine, sparse, configuration, {v})[v]
+                assert compiled.state_of(moves[v]) == expected
+
+    def test_flush_records_every_node_lookup(self, machine, sparse):
+        compiled = compile_machine(machine)
+        config = tuple(compiled.init_id(label) for label in sparse.labels)
+        stepper = GraphStepper(compiled, sparse)
+        stepper.moves(config)
+        stepper.moves(config)
+        stepper.flush()
+        assert compiled.hits + compiled.misses == 2 * sparse.num_nodes
+        assert compiled.misses == compiled.table_size
+        GraphStepper(compiled, sparse).moves(config)  # unflushed: not counted
+        assert compiled.hits + compiled.misses == 2 * sparse.num_nodes
+
+    def test_stored_view_keys_share_their_pairs(self, machine):
+        compiled = compile_machine(machine)
+        stepper = GraphStepper(compiled, cycle_graph(AB, ["a", "b", "b", "b", "b", "b"]))
+        stepper.moves(tuple(compiled.init_id(label) for label in "abbbbb"))
+        pairs = [pair for row in compiled._table.values() for _, items in row for pair in items]
+        by_value = {}
+        for pair in pairs:
+            assert by_value.setdefault(pair, pair) is pair
+        assert len(pairs) > len(by_value)

@@ -80,6 +80,20 @@ class TestExplore:
         with pytest.raises(StateSpaceTooLarge):
             explore(machine, g, max_configurations=2)
 
+    @pytest.mark.parametrize("length", [2, 5])
+    def test_start_must_match_the_node_count(self, ab, length):
+        machine = flooding_machine(ab)
+        g = cycle_graph(ab, ["a", "b", "b"])
+        with pytest.raises(ValueError, match="3 nodes"):
+            explore(machine, g, start=("no",) * length)
+
+    def test_start_replaces_the_initial_configuration(self, ab):
+        machine = flooding_machine(ab)
+        g = cycle_graph(ab, ["a", "b", "b"])
+        graph = explore(machine, g, start=("no", "no", "no"))
+        assert graph.configurations == [("no", "no", "no")]
+        assert graph.successors[("no", "no", "no")] == (("no", "no", "no"),)
+
     def test_edge_selections_recorded(self, ab):
         machine = flooding_machine(ab)
         g = line_graph(ab, ["a", "b", "b"])
