@@ -17,7 +17,8 @@ The acceptance series for the backend architecture:
   2,000-node *cycle* — a family the count backend cannot take — asserting a
   ≥ 10× speedup over the *identical* trajectory, plus per-step cost
   measurements at two sizes showing the compiled engine's cost is O(deg)
-  while the reference's grows with n;
+  while the reference's grows with n, and a seeded single run through the
+  per-node kernel against the generic selection loop on a live instance;
 * the **batch section** (``@pytest.mark.batch``): the count-level lockstep
   batch engine (:mod:`repro.core.vector_batch`) against the sequential
   per-run loop at B ∈ {1, 2, 4, 8, 16, 32, 256, 2048}, asserting ≥ 5×
@@ -25,7 +26,8 @@ The acceptance series for the backend architecture:
   batches throughout;
   plus the non-clique series: the lockstep per-node engine
   (:mod:`repro.core.vector_pernode`) on the 2,000-node cycle majority
-  instance, asserting ≥ 3× runs/sec at B=512;
+  instance against the generic per-run loop, asserting ≥ 3× runs/sec at
+  B=512;
 * the **exact section**: the exact decider's compiled kernel
   (:func:`repro.core.verification.explore`, :class:`repro.core.compile.GraphStepper`)
   against the reference ``successor`` relation on threshold-DAF cycles and
@@ -58,6 +60,7 @@ from repro.experiments.backends_bench import (
     end_to_end_comparison,
     exact_entries,
     pernode_batch_throughput,
+    pernode_single_run_entry,
     pernode_step_cost_scaling,
 )
 from repro.experiments.benchjson import write_bench_json
@@ -184,6 +187,29 @@ def test_compiled_pernode_step_cost_is_degree_bound(benchmark, ab):
         f"(×{stats['reference_cost_ratio']:.1f}), compiled "
         f"{stats['compiled_us_per_step'][0]:.1f}→{stats['compiled_us_per_step'][1]:.1f} µs "
         f"(×{stats['compiled_cost_ratio']:.1f})"
+    )
+
+
+@pytest.mark.slow
+def test_pernode_single_run_kernel_vs_generic_loop(benchmark, ab):
+    """A seeded single run: the per-node kernel against the generic loop.
+
+    200,000 steps of the ``rendezvous-parity`` handshake on a 27-cycle,
+    about half of them live, through :func:`repro.core.compile.run_compiled`
+    under a plain seeded schedule (the kernel) and under a subclass (the
+    generic selection loop); the two runs must be equal.
+    """
+    stats = benchmark.pedantic(
+        pernode_single_run_entry, args=(200_000,), rounds=1, iterations=1
+    )
+    _BENCH_ENTRIES.append(stats)
+    assert stats["identical_runs"], "kernel and loop runs diverged"
+    assert stats["speedup"] > 1, f"only {stats['speedup']:.2f}x"
+    print(
+        f"\n[backends] rendezvous-parity n=27, 200,000 steps "
+        f"({stats['live_share']:.0%} live): loop {stats['loop_us_per_step']:.2f} "
+        f"µs/step, kernel {stats['kernel_us_per_step']:.2f} µs/step "
+        f"(≈{stats['speedup']:.1f}×)"
     )
 
 

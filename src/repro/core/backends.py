@@ -15,15 +15,16 @@ with the package:
 :class:`CompiledPerNodeBackend`
     The optimised per-node engine: the machine is compiled to interned
     integer states with memoised transition tables
-    (:class:`~repro.core.compile.CompiledMachine`), the configuration is a
-    mutable int array, every node caches its neighbour-multiset count vector
-    (updated incrementally when a neighbour flips) and consensus is tracked
-    through per-verdict counters — one exclusive step costs ``O(deg(v))``
-    instead of ``O(n)``.  It consumes ``schedule.selections(graph)`` exactly
-    like the reference, so for the same seed it reproduces the reference run
-    bit for bit (verdict, steps, ``stabilised_at``, final configuration) on
-    every graph family and schedule it accepts; per-step trace recording and
-    implicit cliques (on-demand adjacency, see
+    (:class:`~repro.core.compile.CompiledMachine`), and consensus is tracked
+    through per-verdict node counters — one exclusive step costs
+    ``O(deg(v))`` instead of ``O(n)``.  One kernel
+    (:class:`~repro.core.compile.PerNodeLockstep`) runs every seeded
+    random-exclusive run, as one row of the kernel the lockstep batches use;
+    every other schedule runs through the generic loop over
+    ``schedule.selections(graph)``.  Either way the same schedule reproduces
+    the reference run bit for bit (verdict, steps, ``stabilised_at``, final
+    configuration) on every graph family and schedule it accepts; per-step
+    trace recording and implicit cliques (on-demand adjacency, see
     :meth:`CompiledPerNodeBackend.supports`) are the only exclusions.
     Compiled machines are plain data and pickle cleanly, which the sweep
     executor uses to ship pre-built instances to worker processes.
@@ -211,8 +212,9 @@ class CompiledPerNodeBackend(PerNodeBackend):
     semantics on the same instances — for a given seed the two produce
     identical :class:`~repro.core.results.RunResult`\\ s — just with the hot
     loop rewritten around :class:`~repro.core.compile.CompiledMachine` and
-    incremental neighbourhood/consensus bookkeeping (see
-    :mod:`repro.core.compile`).  Trace recording is the one capability it
+    incremental neighbourhood/consensus bookkeeping: the per-node kernel for
+    seeded random-exclusive schedules, the generic selection loop for every
+    other schedule (see :mod:`repro.core.compile`).  Trace recording is the one capability it
     gives up: materialising a full configuration per step would reintroduce
     the O(n) cost the engine exists to avoid, so ``"auto"`` falls back to the
     reference loop when a trace is requested.
@@ -228,8 +230,9 @@ class CompiledPerNodeBackend(PerNodeBackend):
         record_trace: bool = False,
     ) -> bool:
         # Unlike the count backend there is no schedule eligibility rule:
-        # the engine consumes schedule.selections() verbatim, so subclassed
-        # schedules keep their custom dynamics.  Implicit cliques are the
+        # a subclassed schedule runs through the generic loop, which
+        # consumes schedule.selections() verbatim, so it keeps its custom
+        # dynamics.  Implicit cliques are the
         # one graph exclusion: their adjacency is generated on demand, and
         # this engine's per-node neighbour vectors would materialise all
         # n(n-1)/2 edges — at the 10⁴–10⁶ scales those graphs exist for

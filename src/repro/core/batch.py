@@ -150,6 +150,46 @@ def quorum_target(runs: int, quorum: float | None) -> int | None:
     return max(1, math.ceil(runs * quorum))
 
 
+def quorum_abandon_bound(results: list, early_stop: tuple) -> int | None:
+    """The tightest provable bound on how many rows ``collect_batch`` consumes.
+
+    ``results`` is the in-flight per-row result list (``None`` = still
+    running or abandoned) and ``early_stop`` the quorum contract
+    ``(target, min_runs, runs)`` from
+    :func:`~repro.core.batch.quorum_target`.  Rows are scanned in fold
+    order, counting decided verdicts among the rows that have *already
+    finished*, and the exact ``collect_batch`` stopping condition is applied
+    after each position.  The condition is monotone in the decided counts —
+    a still-running row can only add to them once it finishes — so if it
+    already holds at position ``i`` over the finished subset, the sequential
+    fold is guaranteed to stop after consuming at most ``i + 1`` rows.
+    Rows at index ``>= i + 1`` can therefore never be consulted and may be
+    abandoned immediately, even while earlier rows are still mid-flight.
+    Returns that bound, or ``None`` while no stop can be proven yet.
+
+    This strictly subsumes the earlier finished-*prefix* rule (a complete
+    satisfying prefix is just the special case where every scanned row has
+    finished), which let rows beyond the eventual stop position burn
+    lockstep work until the prefix caught up.
+    """
+    target, min_runs, runs = early_stop
+    accepts = rejects = 0
+    for consumed, result in enumerate(results, start=1):
+        if result is not None:
+            verdict = result.verdict
+            if verdict is Verdict.ACCEPT:
+                accepts += 1
+            elif verdict is Verdict.REJECT:
+                rejects += 1
+        if (
+            consumed >= min_runs
+            and consumed < runs
+            and (accepts >= target or rejects >= target)
+        ):
+            return consumed
+    return None
+
+
 def collect_batch(
     outcomes,
     runs: int,

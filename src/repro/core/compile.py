@@ -24,38 +24,53 @@ pickle), so the sweep executor has to rebuild instances inside every worker.
   an optional picklable ``loader`` callable the first time it meets a view it
   has not seen (raising :class:`CompiledMachineUnbound` if it has no loader).
 
-Two kinds of engine are built on top.  The exact decider
-(:mod:`repro.core.verification`) and the §6.1 bounded-majority protocol
-(:mod:`repro.constructions.bounded_majority`) evaluate whole configurations
-at a time: a :class:`GraphStepper` answers, for a tuple of state ids, every
-node's move, memoising per local view for the length of one exploration or
-one protocol run.  Neither calls
+Three engines are built on top; the first two share one local-view memo.
+The exact decider (:mod:`repro.core.verification`) and the §6.1
+bounded-majority protocol (:mod:`repro.constructions.bounded_majority`)
+evaluate whole configurations at a time: a :class:`GraphStepper` answers,
+for a tuple of state ids, every node's move, memoising per local view —
+keyed by ``itemgetter(v, *neighbours)`` of the configuration — for the
+length of one exploration or one protocol run.  Neither calls
 :func:`~repro.core.configuration.successor`, which stays the reference the
 differential tests compare them against.  The table entries these long
 explorations leave behind share their ``(state id, count)`` pairs through a
 per-machine intern pool, so a large table costs one pair object per distinct
 pair rather than one per key.
 
-:func:`run_compiled` is the incremental per-node engine: the
-configuration is a mutable int array, every node caches its neighbour-multiset
-count vector (updated in O(deg) when a neighbour flips), and consensus is
-tracked through per-verdict node counters — so one exclusive step costs
-O(deg(v)) instead of the reference loop's O(n) full-configuration rebuild and
-rescan.  The engine consumes ``schedule.selections(graph)`` exactly like the
-reference :class:`~repro.core.backends.PerNodeBackend`, so for the same seed
-it draws the same random stream and reproduces the reference run bit for bit:
-same verdict, same step count, same ``stabilised_at``, same final
-configuration.  The differential suite asserts this across graph families.
+:class:`PerNodeLockstep` is the per-node kernel, and one kernel serves every
+seeded random-exclusive run: a ``B``-row batch of
+:mod:`repro.core.vector_pernode`, and a single run of :func:`run_compiled`
+as one row.  Each row replays ``RandomExclusiveSchedule`` on its own
+generator draw for draw, keeps a pending move per node, and resolves a
+stale one through the stepper's local-view dict under the same flat key;
+a silent step costs one draw and one list read.
+
+:func:`run_compiled` keeps a generic loop for every other schedule
+(synchronous, liberal, subclassed, or drawing from an injected generator):
+the configuration is a mutable int array, every node caches its
+neighbour-multiset count vector (updated in O(deg) when a neighbour flips),
+and consensus is tracked through per-verdict node counters — so one
+exclusive step costs O(deg(v)) instead of the reference loop's O(n)
+full-configuration rebuild and rescan.  The loop consumes
+``schedule.selections(graph)`` exactly like the reference
+:class:`~repro.core.backends.PerNodeBackend`.  Either way the same schedule
+reproduces the reference run bit for bit: same verdict, same step count,
+same ``stabilised_at``, same final configuration.  The differential suites
+assert this across graph families.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
+from repro.core.batch import quorum_abandon_bound
 from repro.core.machine import DistributedMachine, Neighborhood, State
-from repro.core.results import RunResult, Verdict
+from repro.core.results import RunResult, consensus_verdict
+from repro.core.scheduler import RandomExclusiveSchedule
+from repro.core.streaks import StreakDeadlines
 from repro.obs.metrics import get_metrics
 from repro.obs.tracing import span
 
@@ -76,10 +91,10 @@ def canonical_view_key(degree: int, counts: dict, beta: int) -> ViewKey:
     ``counts`` maps interned neighbour state ids to their *uncapped*
     multiplicities; the key caps each count at ``beta`` (the most a
     transition may observe, Section 2.1) and sorts the items by state id so
-    that every engine building keys — the sequential
-    :func:`run_compiled` loop and the lockstep batch engine
-    (:mod:`repro.core.vector_pernode`) — lands on the same table entry for
-    the same view.
+    that every engine building keys — the generic :func:`run_compiled`
+    loop and the local-view resolver of :class:`GraphStepper` (which the
+    per-node kernel shares) — lands on the same table entry for the same
+    view.
     """
     return (
         degree,
@@ -344,20 +359,26 @@ class GraphStepper:
     builds the :func:`canonical_view_key` and asks the machine's table
     (``step_id`` evaluates δ only when the table has no entry).
 
-    A stepper lives for one exploration or one protocol run; only the
-    machine's own table outlives it.  :meth:`flush` folds its lookup counts
-    into :meth:`CompiledMachine.record_lookups`: every per-node answer is a
+    A stepper lives for one exploration, one protocol run or one lockstep
+    batch (:class:`PerNodeLockstep`); only the machine's own table outlives
+    it.  Its local dict obeys the machine's ``memo_cap`` like the table
+    does: views beyond the cap are answered but not stored, and each refusal
+    counts as ``memo.evictions{table=pernode-view}``, so the cap never
+    affects results.  :meth:`flush` folds its lookup counts into
+    :meth:`CompiledMachine.record_lookups`: every per-node answer is a
     lookup, and a δ evaluation is a miss.
     """
 
     def __init__(self, compiled: CompiledMachine, graph: "LabeledGraph"):
         self.compiled = compiled
+        self.adj: list[tuple] = [graph.neighbors(v) for v in graph.nodes()]
         # itemgetter(v, *neighbours) reads a node's key straight off the
-        # configuration tuple; an isolated node's key is its bare own id.
-        self._views = [itemgetter(v, *graph.neighbors(v)) for v in graph.nodes()]
+        # configuration; an isolated node's key is its bare own id.
+        self._views = [itemgetter(v, *adj) for v, adj in enumerate(self.adj)]
         self._local: dict = {}
         self._lookups = 0
         self._misses = 0
+        self._evictions = 0  # local stores refused by the memo cap
 
     def moves(self, config: tuple[int, ...]) -> list[int]:
         """The id every node of ``config`` moves to when it is selected."""
@@ -381,17 +402,231 @@ class GraphStepper:
         if nxt is None:
             self._misses += 1
             nxt = compiled.step_id(own, view_key)
-        self._local[key] = nxt
+        local = self._local
+        cap = compiled.memo_cap
+        if cap is None or len(local) < cap:
+            local[key] = nxt
+        else:
+            self._evictions += 1
         return nxt
 
     def flush(self) -> None:
         """Record this stepper's lookups on the machine (and in metrics)."""
         self.compiled.record_lookups(self._lookups - self._misses, self._misses)
-        self._lookups = self._misses = 0
+        if self._evictions:
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.counter("memo.evictions", table="pernode-view").inc(
+                    self._evictions
+                )
+        self._lookups = self._misses = self._evictions = 0
 
 
 # ---------------------------------------------------------------------- #
-# The incremental per-node engine
+# The per-node kernel: lockstep rows under seeded exclusive schedules
+# ---------------------------------------------------------------------- #
+#: Pending-move sentinels (successor ids are >= 0, so negatives are free).
+_SILENT = -1  # the node's next state equals its current state
+_UNRESOLVED = -2  # a neighbour (or the node itself) flipped; re-resolve
+
+
+class PerNodeLockstep(GraphStepper):
+    """Rows of one compiled machine on one graph, advanced in lockstep.
+
+    The compiled engine for seeded random-exclusive runs: a one-row run is
+    :func:`run_compiled`'s single run, a ``B``-row run is the lockstep batch
+    of :mod:`repro.core.vector_pernode`.  Row ``j`` replays
+    ``RandomExclusiveSchedule.selections`` on its own ``random.Random``
+    draw for draw — one ``rng.choice(nodes)`` per step, inlined as the
+    rejection-sampled ``getrandbits`` loop ``Random._randbelow`` performs on
+    a dense ``range(n)`` node list — so every row is bit-identical to the
+    generic selection loop on the same generator.
+
+    Per row: the interned states, the accept/reject node counters and a
+    *pending-move* vector caching each node's resolved next state
+    (:data:`_SILENT`, :data:`_UNRESOLVED`, or the successor id).  A flip
+    invalidates the pending entries of the flipped node and its neighbours.
+    Shared by all rows: the stepper's local-view dict, keyed by the flat
+    ``itemgetter(v, *neighbours)`` key; only a miss calls the resolver.
+
+    Every live row has taken exactly ``step`` steps, and a row's consensus
+    value changes only when one of its nodes flips, so the streak rule of
+    the generic loop reduces to a deadline per row
+    (:class:`~repro.core.streaks.StreakDeadlines`).  The generic loop's
+    quiet-streak rule is subsumed: while the configuration is frozen its
+    consensus value is too, so the consensus streak reaches the window
+    first.  The budgets must be at least one step (``EngineOptions``
+    enforces this); ``start`` replaces the labelled initial configuration.
+    """
+
+    def __init__(
+        self,
+        compiled: CompiledMachine,
+        graph: "LabeledGraph",
+        max_steps: int,
+        stability_window: int,
+        start: "Configuration | None" = None,
+    ):
+        super().__init__(compiled, graph)
+        self.max_steps = max_steps
+        self.window = stability_window
+        self.n = graph.num_nodes
+        if start is None:
+            self.init_states = [compiled.init_id(graph.label_of(v)) for v in graph.nodes()]
+        else:
+            self.init_states = [compiled.intern(s) for s in start]
+        #: Set by :meth:`run`: lockstep iterations, summed row steps and
+        #: row retirements by reason.
+        self.iterations = 0
+        self.total_steps = 0
+        self.retired: dict[str, int] = {}
+
+    def run(
+        self,
+        rngs: list,
+        early_stop: tuple | None = None,
+        materialise_configurations: bool = True,
+    ) -> list[RunResult]:
+        """Advance every row to completion; one ``RunResult`` per generator.
+
+        The contract is :meth:`repro.core.vector_batch._LockstepRun.run`'s:
+        ``early_stop`` is the ``(target, min_runs, runs)`` quorum contract
+        and abandons (``None``-slot) every row past the provable
+        ``collect_batch`` stop bound; ``materialise_configurations=False``
+        retires rows with empty final configurations for callers about to
+        drop them.  ``rngs`` must be plain ``random.Random`` instances —
+        the inlined node draw replays ``Random.choice`` on a dense node
+        list bit-for-bit, which is only the selection stream for the stdlib
+        generator.
+        """
+        batch = len(rngs)
+        n = self.n
+        compiled = self.compiled
+        adj = self.adj
+        views = self._views
+        lookup = self._local.get
+        resolve = self._resolve
+        # Live references: intern() grows these in place, so states first
+        # discovered mid-run are classified without re-fetching.
+        acc = compiled._accepting
+        rej = compiled._rejecting
+
+        init = self.init_states
+        init_acc = sum(1 for s in init if acc[s])
+        init_rej = sum(1 for s in init if rej[s])
+        # Accept-first tie-break, mirroring consensus_value.
+        init_value = True if init_acc == n else False if init_rej == n else None
+        # Every row starts from the same configuration: resolve it once
+        # (which also warms the local-view dict) and copy it per row.
+        pending0 = [
+            _SILENT if nxt == sid else nxt for nxt, sid in zip(self.moves(tuple(init)), init)
+        ]
+
+        states = [list(init) for _ in range(batch)]
+        pending = [list(pending0) for _ in range(batch)]
+        num_acc = [init_acc] * batch
+        num_rej = [init_rej] * batch
+        values = [init_value] * batch
+        max_steps = self.max_steps
+        deadlines = StreakDeadlines(self.window, max_steps, batch, init_value)
+        changed = deadlines.changed
+        results: list[RunResult | None] = [None] * batch
+
+        def retire(j: int, step: int, stabilised_at: int | None) -> RunResult:
+            return RunResult(
+                verdict=consensus_verdict(values[j]),
+                steps=step,
+                final_configuration=(
+                    tuple(compiled.state_of(s) for s in states[j])
+                    if materialise_configurations
+                    else ()
+                ),
+                stabilised_at=stabilised_at,
+                trace=None,
+            )
+
+        bits = n.bit_length()
+        # (row, bound getrandbits, pending vector) triples — the hot loop's
+        # working set, rebuilt only when the active set changes.
+        alive_rows = [(j, rngs[j].getrandbits, pending[j]) for j in range(batch)]
+        step = 0
+        # Local-view hits and resolver calls stay in locals; flushed once.
+        hits = resolved = 0
+        total_steps = stabilised_rows = exhausted_rows = 0
+        while alive_rows:
+            step += 1
+            for j, g, pj in alive_rows:
+                v = g(bits)
+                while v >= n:
+                    v = g(bits)
+                move = pj[v]
+                if move == _SILENT:
+                    continue
+                row_states = states[j]
+                sid = row_states[v]
+                if move == _UNRESOLVED:
+                    key = views[v](row_states)
+                    move = lookup(key)
+                    if move is None:
+                        resolved += 1
+                        move = resolve(key)
+                    else:
+                        hits += 1
+                    if move == sid:
+                        pj[v] = _SILENT
+                        continue
+                    # No point storing the move: the flip below invalidates
+                    # this node's pending entry anyway.
+                row_states[v] = move
+                na = num_acc[j] + acc[move] - acc[sid]
+                nr = num_rej[j] + rej[move] - rej[sid]
+                num_acc[j] = na
+                num_rej[j] = nr
+                pj[v] = _UNRESOLVED
+                for u in adj[v]:
+                    pj[u] = _UNRESOLVED
+                value = True if na == n else False if nr == n else None
+                if value is not values[j]:
+                    values[j] = value
+                    changed(j, value, step)
+            retiring = deadlines.due(step)
+            for j in retiring:
+                results[j] = retire(j, step, step)
+            stabilised_rows += len(retiring)
+            if step >= max_steps:
+                # Every live row has taken exactly `step` steps, so the
+                # budget runs out for all of them at once.
+                for j, _, _ in alive_rows:
+                    if results[j] is None:
+                        results[j] = retire(j, step, None)
+                        retiring.append(j)
+                        exhausted_rows += 1
+            if retiring:
+                total_steps += step * len(retiring)
+                alive_rows = [row for row in alive_rows if results[row[0]] is None]
+                if early_stop is not None and alive_rows:
+                    bound = quorum_abandon_bound(results, early_stop)
+                    if bound is not None:
+                        for j, _, _ in alive_rows:
+                            if j >= bound:
+                                deadlines.cancel(j)
+                                total_steps += step
+                        alive_rows = [row for row in alive_rows if row[0] < bound]
+
+        self._lookups += hits + resolved
+        self.flush()
+        self.iterations = step
+        self.total_steps = total_steps
+        self.retired = {
+            "stabilised": stabilised_rows,
+            "exhausted": exhausted_rows,
+            "quorum-abandoned": results.count(None),
+        }
+        return results  # type: ignore[return-value]
+
+
+# ---------------------------------------------------------------------- #
+# Single runs: the kernel for seeded exclusive schedules, else the generic loop
 # ---------------------------------------------------------------------- #
 def run_compiled(
     compiled: CompiledMachine,
@@ -406,8 +641,27 @@ def run_compiled(
 
     Bit-identical to :class:`~repro.core.backends.PerNodeBackend` for the
     same arguments (see the module docstring); the only observable it cannot
-    produce is a per-step trace.
+    produce is a per-step trace.  A seeded :class:`RandomExclusiveSchedule`
+    (exact type, no injected generator) runs as one :class:`PerNodeLockstep`
+    row on ``random.Random(schedule.seed)``; every other schedule —
+    synchronous, liberal, subclassed, or drawing from an injected generator
+    whose stream the caller can observe afterwards — runs through the
+    generic loop over ``schedule.selections(graph)``.
     """
+    if (
+        type(schedule) is RandomExclusiveSchedule
+        and schedule.rng is None
+        and graph.num_nodes > 0
+        and max_steps >= 1
+        and stability_window >= 1
+    ):
+        kernel = PerNodeLockstep(compiled, graph, max_steps, stability_window, start)
+        [result] = kernel.run([random.Random(schedule.seed)])
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("engine.runs", engine="compiled").inc()
+            metrics.counter("engine.steps", engine="compiled").inc(result.steps)
+        return result
     n = graph.num_nodes
     adj = [graph.neighbors(v) for v in graph.nodes()]
     if start is not None:
@@ -512,13 +766,9 @@ def run_compiled(
         metrics.counter("engine.runs", engine="compiled").inc()
         metrics.counter("engine.steps", engine="compiled").inc(step)
     final_value = True if num_acc == n else False if num_rej == n else None
-    if final_value is not None:
-        verdict = Verdict.ACCEPT if final_value else Verdict.REJECT
-    else:
-        verdict = Verdict.UNDECIDED
     configuration = tuple(compiled.state_of(s) for s in states)
     return RunResult(
-        verdict=verdict,
+        verdict=consensus_verdict(final_value),
         steps=step,
         final_configuration=configuration,
         stabilised_at=stabilised_at,

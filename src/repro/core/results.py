@@ -68,3 +68,10 @@ class RunResult:
     @property
     def rejected(self) -> bool:
         return self.verdict is Verdict.REJECT
+
+
+def consensus_verdict(value: bool | None) -> Verdict:
+    """The run verdict of a consensus value (``None`` = no consensus)."""
+    if value is None:
+        return Verdict.UNDECIDED
+    return Verdict.ACCEPT if value else Verdict.REJECT

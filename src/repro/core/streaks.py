@@ -26,8 +26,9 @@ population engine): the driver only ever compares it for equality and against
 (:mod:`repro.core.vector_batch`) gives every row its own driver.
 
 :class:`StreakDeadlines` is the same rule for lockstep rows that all take
-one step per iteration (:mod:`repro.core.vector_pernode`).  There every step
-counts as active, and a row's consensus value changes only when one of its
+one step per iteration (the per-node kernel,
+:class:`repro.core.compile.PerNodeLockstep`).  There every step counts as
+active, and a row's consensus value changes only when one of its
 nodes flips, so the streak of a row is simply the number of steps since its
 current non-``None`` value began.  The row therefore stabilises at exactly
 ``since + window``; the class keeps that deadline per row and buckets rows

@@ -72,66 +72,25 @@ import math
 import random
 
 from repro.core.backends import COUNT_BACKEND
-from repro.core.batch import BatchResult, collect_batch, derive_seed, quorum_target
+from repro.core.batch import (
+    BatchResult,
+    collect_batch,
+    derive_seed,
+    quorum_abandon_bound,
+    quorum_target,
+)
 from repro.core.configuration import configuration_from_counts, consensus_of_counts
 from repro.core.machine import Neighborhood
-from repro.core.results import RunResult, Verdict
+from repro.core.results import RunResult, Verdict, consensus_verdict
 from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.streaks import ConsensusStreakDriver
 from repro.obs.metrics import get_metrics
-from repro.obs.tracing import trace_event
+from repro.obs.tracing import get_tracer, trace_event
 
 _log1p = math.log1p
 _MISS = object()  # cache-miss sentinel (None can be a legitimate cached value)
 
 _PROBE_SCHEDULE = RandomExclusiveSchedule(seed=0)
-
-
-def consensus_verdict(value: bool | None) -> Verdict:
-    """The run verdict of a consensus value (``None`` = no consensus)."""
-    if value is None:
-        return Verdict.UNDECIDED
-    return Verdict.ACCEPT if value else Verdict.REJECT
-
-
-def quorum_abandon_bound(results: list, early_stop: tuple) -> int | None:
-    """The tightest provable bound on how many rows ``collect_batch`` consumes.
-
-    ``results`` is the in-flight per-row result list (``None`` = still
-    running or abandoned) and ``early_stop`` the quorum contract
-    ``(target, min_runs, runs)`` from
-    :func:`~repro.core.batch.quorum_target`.  Rows are scanned in fold
-    order, counting decided verdicts among the rows that have *already
-    finished*, and the exact ``collect_batch`` stopping condition is applied
-    after each position.  The condition is monotone in the decided counts —
-    a still-running row can only add to them once it finishes — so if it
-    already holds at position ``i`` over the finished subset, the sequential
-    fold is guaranteed to stop after consuming at most ``i + 1`` rows.
-    Rows at index ``>= i + 1`` can therefore never be consulted and may be
-    abandoned immediately, even while earlier rows are still mid-flight.
-    Returns that bound, or ``None`` while no stop can be proven yet.
-
-    This strictly subsumes the earlier finished-*prefix* rule (a complete
-    satisfying prefix is just the special case where every scanned row has
-    finished), which let rows beyond the eventual stop position burn
-    lockstep work until the prefix caught up.
-    """
-    target, min_runs, runs = early_stop
-    accepts = rejects = 0
-    for consumed, result in enumerate(results, start=1):
-        if result is not None:
-            verdict = result.verdict
-            if verdict is Verdict.ACCEPT:
-                accepts += 1
-            elif verdict is Verdict.REJECT:
-                rejects += 1
-        if (
-            consumed >= min_runs
-            and consumed < runs
-            and (accepts >= target or rejects >= target)
-        ):
-            return consumed
-    return None
 
 
 class _Node:
@@ -288,7 +247,9 @@ class _LockstepRun:
         alive = list(range(batch))
         # Retirement-reason tally (plain ints; flushed once when metrics on).
         stabilised_rows = fixed_rows = exhausted_rows = silent_total = 0
+        iterations = 0
         while alive:
+            iterations += 1
             survivors: list[int] = []
             for j in alive:
                 node = row_node[j]
@@ -323,9 +284,16 @@ class _LockstepRun:
                 if bound is not None:
                     survivors = [j for j in survivors if j < bound]
             alive = survivors
+        self.iterations = iterations
+        self.retired = {
+            "stabilised": stabilised_rows,
+            "fixed-point": fixed_rows,
+            "exhausted": exhausted_rows,
+            "quorum-abandoned": results.count(None),
+        }
         metrics = get_metrics()
         if metrics.enabled:
-            abandoned = results.count(None)
+            abandoned = self.retired["quorum-abandoned"]
             metrics.counter("engine.runs", engine=self.engine).inc(batch - abandoned)
             metrics.counter("engine.steps", engine=self.engine).inc(
                 sum(driver.step for driver in drivers)
@@ -334,12 +302,7 @@ class _LockstepRun:
                 metrics.counter(
                     "engine.silent_steps_skipped", engine=self.engine
                 ).inc(silent_total)
-            for reason, count in (
-                ("stabilised", stabilised_rows),
-                ("fixed-point", fixed_rows),
-                ("exhausted", exhausted_rows),
-                ("quorum-abandoned", abandoned),
-            ):
+            for reason, count in self.retired.items():
                 if count:
                     metrics.counter("batch.rows_retired", reason=reason).inc(count)
             for table, hits, misses, evictions in (
@@ -642,13 +605,9 @@ class VectorizedBatchBackend(BatchBackend):
 
     def supports(self, workload) -> bool:
         """Whether the workload's per-run engine is count-level (see ``_plan``)."""
-        return self._plan(workload) is not None
+        return self._plan(workload)[0] is not None
 
     def _plan(self, workload):
-        """The lockstep constructor for a workload, or ``None`` if ineligible."""
-        return self._plan_reason(workload)[0]
-
-    def _plan_reason(self, workload):
         """``(lockstep constructor, None)``, or ``(None, reason)`` if ineligible.
 
         Eligibility is deliberately *exact-type* on the workload class (like
@@ -699,17 +658,24 @@ class VectorizedBatchBackend(BatchBackend):
         materialise_configurations: bool = True,
     ) -> list[RunResult]:
         """Lockstep-run one row per seed; bit-identical to per-run ``run`` calls."""
-        plan = self._plan(workload)
+        plan, _ = self._plan(workload)
         if plan is None:
             raise ValueError(
                 f"workload {type(workload).__name__} is not batch-vectorizable; "
                 f"check resolve_batch_backend before dispatching"
             )
-        return plan(workload).run(
-            [random.Random(seed) for seed in seeds],
-            early_stop=early_stop,
-            materialise_configurations=materialise_configurations,
-        )
+        engine = plan(workload)
+        tracer = get_tracer()
+        with tracer.span("run", engine=self.name, rows=len(seeds)) as run:
+            results = engine.run(
+                [random.Random(seed) for seed in seeds],
+                early_stop=early_stop,
+                materialise_configurations=materialise_configurations,
+            )
+            if tracer.enabled:
+                run.attrs["iterations"] = engine.iterations
+                run.attrs["retired"] = engine.retired
+        return results
 
     # ------------------------------------------------------------------ #
     def _machine_lockstep(self, workload) -> _MachineLockstep:
@@ -767,12 +733,12 @@ def resolve_batch_backend(workload) -> BatchBackend | None:
     eligibility reason codes, and bumps
     ``dispatch.fallback{reason=...}`` when metrics are enabled.
     """
-    plan, count_reason = VECTOR_BATCH._plan_reason(workload)
+    plan, count_reason = VECTOR_BATCH._plan(workload)
     if plan is not None:
         return VECTOR_BATCH
     from repro.core.vector_pernode import VECTOR_PERNODE
 
-    plan, pernode_reason = VECTOR_PERNODE._plan_reason(workload)
+    plan, pernode_reason = VECTOR_PERNODE._plan(workload)
     if plan is not None:
         return VECTOR_PERNODE
     if count_reason == pernode_reason:

@@ -177,12 +177,27 @@ PERNODE_BATCH_SIZES = (1, 2, 4, 8, 16, 64, 512)
 _MIN_TIMED_RUNS = 32
 
 
-def _batch_entries(workload, batch_sizes, base_seed: int, name: str, **fields) -> list[dict]:
+class GenericLoopSchedule(RandomExclusiveSchedule):
+    """A :class:`RandomExclusiveSchedule` the compiled engine runs generically.
+
+    Same draws as its base, but compiled single runs take the kernel only
+    for the exact base type, so this subclass keeps a run on the generic
+    selection loop of :func:`~repro.core.compile.run_compiled` — the loop
+    the kernel is measured against.
+    """
+
+
+def _batch_entries(
+    workload, batch_sizes, base_seed: int, name: str, sequential=None, **fields
+) -> list[dict]:
     """Lockstep ``run_many`` vs ``run_many_sequential`` at each batch size.
 
-    Raises ``AssertionError`` if the two batches differ at any size: a
-    speedup over a loop the lockstep engine does not reproduce means nothing.
+    ``sequential`` (default: ``workload``) is the workload whose per-run
+    loop is timed.  Raises ``AssertionError`` if the two batches differ at
+    any size: a speedup over a loop the lockstep engine does not reproduce
+    means nothing.
     """
+    sequential = workload if sequential is None else sequential
     entries: list[dict] = []
     for runs in batch_sizes:
         vectorized_time = sequential_time = float("inf")
@@ -191,9 +206,9 @@ def _batch_entries(workload, batch_sizes, base_seed: int, name: str, **fields) -
             vectorized = workload.run_many(runs=runs, base_seed=base_seed)
             vectorized_time = min(vectorized_time, time.perf_counter() - start)
             start = time.perf_counter()
-            sequential = workload.run_many_sequential(runs=runs, base_seed=base_seed)
+            looped = sequential.run_many_sequential(runs=runs, base_seed=base_seed)
             sequential_time = min(sequential_time, time.perf_counter() - start)
-            if vectorized != sequential:
+            if vectorized != looped:
                 raise AssertionError(
                     f"{name}: the lockstep batch differs from the sequential "
                     f"loop at B={runs}"
@@ -259,7 +274,10 @@ def pernode_batch_throughput(
     the ``pernode`` section (contiguous label blocks freeze immediately, so
     every row runs the full step budget and the wall-time ratio is a clean
     per-step throughput comparison), run as ``B``-seed batches through
-    ``run_many`` vs ``run_many_sequential``.  Entry schema matches
+    ``run_many`` vs ``run_many_sequential``.  The sequential side runs on
+    :class:`GenericLoopSchedule`, i.e. through the generic selection loop
+    its committed baseline measured (a plain seeded schedule would reach
+    the lockstep kernel itself).  Entry schema matches
     :func:`batch_throughput`, with the equality of the two batches checked
     at every ``B`` (``identical_batches``; a mismatch raises).
     """
@@ -267,15 +285,75 @@ def pernode_batch_throughput(
 
     machine = local_majority_machine(ab, n)
     labels = ["a"] * a_count + ["b"] * (n - a_count)
-    workload = MachineWorkload(
-        machine=machine,
-        graph=cycle_graph(ab, labels, name=f"cycle-{n}"),
-        options=EngineOptions(max_steps=max_steps, stability_window=10**9),
+    graph = cycle_graph(ab, labels, name=f"cycle-{n}")
+    options = EngineOptions(max_steps=max_steps, stability_window=10**9)
+    workload = MachineWorkload(machine=machine, graph=graph, options=options)
+    looped = MachineWorkload(
+        machine=machine, graph=graph, options=options,
+        schedule_factory=GenericLoopSchedule,
     )
     return _batch_entries(
-        workload, batch_sizes, base_seed, "cycle-majority",
+        workload, batch_sizes, base_seed, "cycle-majority", sequential=looped,
         scenario="cycle-majority", graph="cycle", n=n, steps=max_steps,
     )
+
+
+def pernode_single_run_entry(steps: int, seed: int = 5) -> dict:
+    """A seeded single run: the per-node kernel vs the generic loop.
+
+    The instance is the Figure 4 handshake (``rendezvous-parity``, a=5,
+    b=22, a 27-cycle), whose handshakes keep about half of all steps live
+    for as long as the run lasts — unlike the cycle-majority instance,
+    which freezes at once.  Both sides run the same fixed step budget from
+    one warm compiled table (best of 3): the kernel under
+    :class:`RandomExclusiveSchedule`, the loop under
+    :class:`GenericLoopSchedule`.  Their ``RunResult``\ s must be equal, and
+    a replay through the reference ``successor`` checks the final
+    configuration and counts the live steps (``AssertionError`` otherwise).
+    """
+    from repro.core.compile import compile_machine, run_compiled
+    from repro.core.configuration import initial_configuration, successor
+    from repro.workloads import build_workload
+
+    params = {"a": 5, "b": 22}
+    workload = build_workload(
+        "rendezvous-parity", params, max_steps=steps, stability_window=10**9
+    )
+    machine, graph = workload.machine, workload.graph
+    compiled = compile_machine(machine)
+
+    def run(schedule_type):
+        return run_compiled(
+            compiled, graph, schedule_type(seed=seed),
+            max_steps=steps, stability_window=10**9,
+        )
+
+    kernel, kernel_time = _best_of(lambda: run(RandomExclusiveSchedule))
+    loop, loop_time = _best_of(lambda: run(GenericLoopSchedule))
+    configuration = initial_configuration(machine, graph)
+    live = 0
+    for selection in RandomExclusiveSchedule(seed=seed).prefix(graph, steps):
+        following = successor(machine, graph, configuration, selection)
+        live += following != configuration
+        configuration = following
+    if kernel != loop or kernel.final_configuration != configuration:
+        raise AssertionError("pernode single run: the kernel disagrees with the loop")
+    return {
+        "section": "pernode",
+        "name": "pernode-single-run-kernel-vs-generic-loop",
+        "scenario": "rendezvous-parity",
+        "params": params,
+        "graph": "cycle",
+        "n": graph.num_nodes,
+        "steps": steps,
+        "live_share": live / steps,
+        "identical_runs": True,
+        "kernel_time": kernel_time,
+        "loop_time": loop_time,
+        "kernel_us_per_step": kernel_time / steps * 1e6,
+        "loop_us_per_step": loop_time / steps * 1e6,
+        "speedup": loop_time / max(kernel_time, 1e-9),
+    }
 
 
 def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> dict:
@@ -297,7 +375,8 @@ def population_count_engine_stats(ab: Alphabet, agents: int, seed: int = 3) -> d
     }
 
 
-#: Repeats of each ``exact`` measurement; each side keeps its fastest.
+#: Repeats of each ``exact`` and single-run measurement; each side keeps its
+#: fastest.
 _EXACT_REPEATS = 3
 #: Protocol super-steps recorded per graph for the ⟨cancel⟩ round series.
 _CANCEL_ROUNDS = 40
@@ -452,7 +531,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
         dict(n=2_000, a_count=1_100, per_node_budget=400, count_max_steps=120_000,
              e2e_n=300, e2e_a=170, agents=2_000,
              pn_n=600, pn_a=330, pn_steps=6_000, pn_sizes=(600, 2_400),
-             pn_ref_steps=1_500,
+             pn_ref_steps=1_500, ps_steps=40_000,
              batch_machine={"a": 600, "b": 120},
              batch_population={"a": 60, "b": 40, "k": 3},
              pb_steps=2_000)
@@ -460,7 +539,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
         else dict(n=10_000, a_count=5_500, per_node_budget=800, count_max_steps=400_000,
                   e2e_n=600, e2e_a=330, agents=10_000,
                   pn_n=2_000, pn_a=1_100, pn_steps=20_000, pn_sizes=(2_000, 8_000),
-                  pn_ref_steps=4_000,
+                  pn_ref_steps=4_000, ps_steps=200_000,
                   batch_machine={"a": 3_000, "b": 600},
                   batch_population={"a": 60, "b": 40, "k": 3},
                   pb_steps=8_000)
@@ -492,6 +571,7 @@ def backend_scaling_entries(quick: bool = False) -> list[dict]:
             ),
         }
     )
+    entries.append(pernode_single_run_entry(scale["ps_steps"]))
     # The "batch" section: Monte-Carlo sweep throughput of the lockstep
     # engines vs the sequential per-run loop across the whole B range, on a
     # count-eligible clique machine scenario and a population scenario ...

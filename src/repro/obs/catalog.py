@@ -117,7 +117,9 @@ CATALOG: tuple[CatalogSection, ...] = (
                     (
                         "`table=compiled \\| batch-node \\| batch-delta \\| "
                         "pernode-view`",
-                        "entries refused because `memo_cap` was reached",
+                        "entries refused because `memo_cap` was reached "
+                        "(`pernode-view`: the local-view dict of the per-node "
+                        "kernel and the exact decider)",
                     ),
                 ),
             ),

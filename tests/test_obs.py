@@ -320,6 +320,35 @@ class TestTracing:
         names = [json.loads(line)["name"] for line in path.read_text().splitlines()]
         assert names == ["first", "second"]
 
+    @pytest.mark.parametrize(
+        "name,params,engine",
+        [
+            ("exists-label", {"a": 1, "b": 5, "graph": "cycle"}, "vector-pernode"),
+            ("clique-majority", {"a": 6, "b": 3}, "vector-batch"),
+            ("population-threshold", {"a": 3, "b": 4, "k": 3}, "vector-batch"),
+        ],
+    )
+    def test_lockstep_batches_emit_one_run_span(self, name, params, engine):
+        workload = _workload(name, params, max_steps=3_000, stability_window=60)
+        tracer = Tracer()
+        set_tracer(tracer)
+        batch = workload.run_many(12, base_seed=4, quorum=0.5)
+        (run,) = [r for r in tracer.records if r["name"] == "run"]
+        assert run["engine"] == engine and run["rows"] == 12
+        assert run["iterations"] >= 1
+        retired = run["retired"]
+        assert sum(retired.values()) == 12
+        # Every run the quorum fold consumed finished inside the span.
+        assert 12 - retired["quorum-abandoned"] >= batch.runs_executed
+
+    def test_single_compiled_run_keeps_one_run_span(self):
+        workload = _workload("exists-label", {"a": 1, "b": 5, "graph": "cycle"})
+        tracer = Tracer()
+        set_tracer(tracer)
+        workload.run(3)
+        (run,) = [r for r in tracer.records if r["name"] == "run"]
+        assert run["engine"] == "compiled" and "rows" not in run
+
 
 # --------------------------------------------------------------------------- #
 # Dispatch rungs and the sequential-fallback event

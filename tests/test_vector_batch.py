@@ -255,12 +255,12 @@ class TestEdgeCases:
 
     def test_memo_cap_bounds_the_batch_caches(self):
         workload = _workload("clique-majority", {"a": 7, "b": 4}, {"memo_cap": 4})
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = VECTOR_BATCH._plan(workload)[0](workload)
         engine.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(engine._nodes) <= 4
         assert len(engine._delta_cache) <= 4
         uncapped = _workload("clique-majority", {"a": 7, "b": 4}, {})
-        reference = VECTOR_BATCH._plan(uncapped)(uncapped)
+        reference = VECTOR_BATCH._plan(uncapped)[0](uncapped)
         reference.run([random.Random(derive_seed(0, j)) for j in range(5)])
         assert len(reference._nodes) > 4  # the cap genuinely bit
 
@@ -273,7 +273,7 @@ class TestEdgeCases:
         otherwise there is nothing left alive to abandon.
         """
         workload = _workload("population-parity", {"a": 3, "b": 2}, {})
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = VECTOR_BATCH._plan(workload)[0](workload)
         seeds = [derive_seed(0, j) for j in range(32)]
         results = engine.run(
             [random.Random(seed) for seed in seeds], early_stop=(1, 1, 32)
@@ -291,7 +291,7 @@ class TestEdgeCases:
         so the O(n) per-row state tuples are only built on request — and the
         folded BatchResult is identical either way."""
         workload = _workload("clique-majority", {"a": 7, "b": 4}, {})
-        engine = VECTOR_BATCH._plan(workload)(workload)
+        engine = VECTOR_BATCH._plan(workload)[0](workload)
         light = engine.run(
             [random.Random(derive_seed(0, j)) for j in range(4)],
             materialise_configurations=False,
@@ -305,12 +305,12 @@ class TestEdgeCases:
         """β ≥ n-1 views biject with count vectors (the node cache already
         dedupes them), so the δ cache is gated off exactly like _CountRun's."""
         full_view = _workload("clique-majority", {"a": 7, "b": 4}, {})
-        engine = VECTOR_BATCH._plan(full_view)(full_view)
+        engine = VECTOR_BATCH._plan(full_view)[0](full_view)
         assert engine.machine.beta >= engine.n - 1
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
         assert engine._delta_cache == {}
         capped_view = _workload("exists-label", {"a": 1, "b": 4, "graph": "clique"}, {})
-        engine = VECTOR_BATCH._plan(capped_view)(capped_view)
+        engine = VECTOR_BATCH._plan(capped_view)[0](capped_view)
         assert engine.machine.beta < engine.n - 1
         engine.run([random.Random(derive_seed(0, j)) for j in range(3)])
         assert engine._delta_cache  # capped views genuinely share entries

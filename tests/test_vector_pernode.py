@@ -6,7 +6,8 @@ is the *compiled per-node* backend (non-clique graphs): for every eligible
 workload and every ``run_many`` argument combination, the lockstep path in
 :mod:`repro.core.vector_pernode` must produce a
 :class:`~repro.core.batch.BatchResult` **byte-identical** to the sequential
-per-run loop (``Workload.run_many_sequential``, the differential oracle) —
+per-run loop on the per-node *reference* backend (the differential oracle;
+the compiled engine's own single runs share the lockstep kernel) —
 same verdicts, same step counts, same full
 :class:`~repro.core.results.RunResult` objects (final configuration and
 ``stabilised_at`` included), same quorum truncation and ``stopped_early``
@@ -15,7 +16,8 @@ flag.
 The matrix spans the non-clique graph families (cycle, line, star, grid,
 ring-of-cliques), flooding and pseudo-random transition tables, batch sizes
 ``B ∈ {1, 8, 64}``, quorum early-stop, ``max_steps`` exhaustion and
-``memo_cap``-bounded view tables.
+``memo_cap``-bounded view tables.  ``TestSingleRunRouting`` pins which
+single runs take the kernel and which keep the generic selection loop.
 
 Marked ``batch`` (see ``pytest.ini``): the matrix runs in tier-1 and is also
 exercised explicitly by the CI backends job.
@@ -27,8 +29,10 @@ import random
 
 import pytest
 
-from repro.constructions import exists_label_machine
+from repro.constructions import exists_label_machine, threshold_daf_automaton
+from repro.core.backends import PER_NODE_BACKEND
 from repro.core.batch import derive_seed
+from repro.core.compile import PerNodeLockstep, compile_machine, run_compiled
 from repro.core.graphs import (
     cycle_graph,
     grid_graph,
@@ -39,8 +43,11 @@ from repro.core.graphs import (
 from repro.core.labels import Alphabet
 from repro.core.machine import DistributedMachine
 from repro.core.results import Verdict
+from repro.core.scheduler import RandomExclusiveSchedule
 from repro.core.vector_batch import quorum_abandon_bound, resolve_batch_backend
 from repro.core.vector_pernode import VECTOR_PERNODE
+from repro.core.verification import decide
+from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.workloads import (
     CompiledMachineWorkload,
     EngineOptions,
@@ -150,12 +157,17 @@ def random_table_workload(family: str, case: int, **engine) -> MachineWorkload:
 
 
 def assert_identical(workload, runs, base_seed=0, **kwargs):
-    """The core assertion: lockstep batch == sequential oracle, byte for byte."""
+    """The core assertion: lockstep batch == reference oracle, byte for byte.
+
+    The oracle is the sequential loop on the per-node *reference* backend:
+    the compiled engine's own sequential loop runs the same kernel as the
+    batch, so it could not tell the two apart.
+    """
     assert resolve_batch_backend(workload) is VECTOR_PERNODE
     batched = workload.run_many(
         runs=runs, base_seed=base_seed, keep_results=True, **kwargs
     )
-    oracle = workload.run_many_sequential(
+    oracle = workload.with_options(backend="per-node").run_many_sequential(
         runs=runs, base_seed=base_seed, keep_results=True, **kwargs
     )
     assert batched == oracle
@@ -270,6 +282,142 @@ class TestDifferentialMatrix:
         # A tiny shared view-table cap changes memoisation, never results.
         capped = random_table_workload("ring-of-cliques", case=6, memo_cap=4)
         assert_identical(capped, runs=24, base_seed=11)
+
+
+    def test_memo_cap_is_invariant_in_exact_decisions(self):
+        # The exact decider shares the kernel's local-view memo, so the same
+        # cap binds there: it must change memoisation, never the report.
+        graph = cycle_graph(AB, ["a", "b", "a", "b", "b"])
+        uncapped = threshold_daf_automaton(AB, "a", 2)
+        capped = threshold_daf_automaton(AB, "a", 2)
+        compile_machine(capped.machine, memo_cap=3)
+        registry = enable_metrics(reset=True)
+        try:
+            report = decide(capped, graph)
+            counters = registry.snapshot().counters
+        finally:
+            disable_metrics()
+        assert counters.get("memo.evictions{table=pernode-view}", 0) > 0
+        assert report == decide(uncapped, graph)
+
+
+# --------------------------------------------------------------------- #
+# Single runs: the kernel for seeded exclusive schedules, else the loop
+# --------------------------------------------------------------------- #
+class PlainSubclass(RandomExclusiveSchedule):
+    """Same draws as its base; the exact-type rule sends it down the loop."""
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Count the kernel's ``run`` calls (one per single run it serves)."""
+    calls = []
+    original = PerNodeLockstep.run
+
+    def counting(self, rngs, *args, **kwargs):
+        calls.append(len(rngs))
+        return original(self, rngs, *args, **kwargs)
+
+    monkeypatch.setattr(PerNodeLockstep, "run", counting)
+    return calls
+
+
+def _single(workload, schedule, start=None):
+    options = workload.options
+    return run_compiled(
+        compile_machine(workload.machine),
+        workload.graph,
+        schedule,
+        max_steps=options.max_steps,
+        stability_window=options.stability_window,
+        start=start,
+    )
+
+
+class TestSingleRunRouting:
+    @pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
+    def test_exact_type_and_subclass_agree(self, family, kernel_runs):
+        for workload in (
+            flooding_workload(family, case=20),
+            random_table_workload(family, case=20),
+        ):
+            for seed in (0, 1, 2):
+                kernel = _single(workload, RandomExclusiveSchedule(seed=seed))
+                assert kernel_runs == [1]
+                loop = _single(workload, PlainSubclass(seed=seed))
+                assert kernel_runs == [1]
+                assert kernel == loop
+                kernel_runs.clear()
+
+    def test_injected_rng_keeps_the_generic_loop(self, kernel_runs):
+        # The caller owns an injected generator and can read it afterwards:
+        # the loop's stream — including the extra draw it makes when the
+        # budget runs out — must stay exactly what it was.
+        workload = flooding_workload("grid", case=21).with_options(
+            max_steps=40, stability_window=10**6
+        )
+        injected = random.Random(77)
+        result = _single(workload, RandomExclusiveSchedule(rng=injected))
+        assert kernel_runs == []
+        assert result.steps == 40 and result.stabilised_at is None
+        reference_rng = random.Random(77)
+        reference = PER_NODE_BACKEND.run(
+            workload.machine,
+            workload.graph,
+            RandomExclusiveSchedule(rng=reference_rng),
+            max_steps=40,
+            stability_window=10**6,
+        )
+        assert result == reference
+        assert injected.getstate() == reference_rng.getstate()
+        replay = random.Random(77)
+        nodes = list(workload.graph.nodes())
+        for _ in range(40 + 1):
+            replay.choice(nodes)
+        assert injected.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("max_steps,window", [(0, 5), (10, 0)])
+    def test_budgets_below_one_step_keep_the_loop(self, max_steps, window, kernel_runs):
+        # EngineOptions rejects these budgets, but direct callers may pass
+        # them; the kernel's deadline rule assumes at least one step each.
+        workload = flooding_workload("cycle", case=23)
+        result = run_compiled(
+            compile_machine(workload.machine),
+            workload.graph,
+            RandomExclusiveSchedule(seed=1),
+            max_steps=max_steps,
+            stability_window=window,
+        )
+        assert kernel_runs == []
+        assert result == PER_NODE_BACKEND.run(
+            workload.machine,
+            workload.graph,
+            RandomExclusiveSchedule(seed=1),
+            max_steps=max_steps,
+            stability_window=window,
+        )
+
+    @pytest.mark.parametrize("family", NON_CLIQUE_FAMILIES)
+    def test_start_is_honoured(self, family, kernel_runs):
+        workload = random_table_workload(family, case=22)
+        machine, graph = workload.machine, workload.graph
+        states = sorted(
+            {machine.initial_state("a"), machine.initial_state("b")}, key=repr
+        )
+        rng = random.Random(5)
+        start = tuple(rng.choice(states) for _ in graph.nodes())
+        for seed in (3, 4):
+            result = _single(workload, RandomExclusiveSchedule(seed=seed), start)
+            reference = PER_NODE_BACKEND.run(
+                machine,
+                graph,
+                RandomExclusiveSchedule(seed=seed),
+                max_steps=workload.options.max_steps,
+                stability_window=workload.options.stability_window,
+                start=start,
+            )
+            assert result == reference
+        assert kernel_runs == [1, 1]
 
 
 # --------------------------------------------------------------------- #
