@@ -24,24 +24,20 @@ two classical phases:
   state ``⊥`` from which ``⟨reset⟩`` restarts the computation with strictly
   fewer leaders (Lemma 6.2).
 
-This module implements the algorithm at two levels:
+This module implements ``P_cancel`` alone (:func:`cancellation_machine`, for
+Lemma 6.1) and the full §6.1 protocol in the extended model the paper writes
+it in (:class:`BoundedDegreeMajorityProtocol`: synchronous scheduling, weak
+absence detection, weak broadcasts, resets).  Both step ``P_cancel`` on its
+compiled tables through one :class:`~repro.core.compile.GraphStepper` per run.
 
-1. :func:`cancellation_machine` — ``P_cancel`` alone, as a plain synchronous
-   counting machine, used to reproduce the convergence statement of
-   Lemma 6.1.
-2. :class:`BoundedDegreeMajorityProtocol` — the full §6.1 protocol in the
-   extended model the paper writes it in (synchronous scheduling, weak
-   absence detection, weak broadcasts, resets), with a faithful step
-   semantics and a verdict read-out.  The generic compilers of Section 4
-   (:mod:`repro.extensions.absence_sim`, :mod:`repro.extensions.broadcast_sim`)
-   provide the route down to a plain DAf-automaton; the experiments exercise
-   the extended-level protocol on large graphs and the compiled pipeline on
-   small ones.
-
-Both levels evaluate ``P_cancel`` on its compiled transition tables
-(:func:`repro.core.compile.compile_machine`): :func:`run_cancellation` and
-every :meth:`BoundedDegreeMajorityProtocol.decide` step one
-:class:`~repro.core.compile.GraphStepper` through all their rounds.
+A protocol run keeps per-node lists of interned contribution ids, role codes
+and interned inputs: ⟨cancel⟩ feeds the ids straight to the stepper, facts
+about a contribution are memoised per id, detection summarises the followers
+once per round, and each broadcast reaction is looked up by (source role,
+own role), so a super-step is O(n).  ``step`` converts :class:`AgentState`
+lists at its boundary; the object-level super-step it replaced is the test
+oracle in ``tests/test_exact_differential.py``, and ``BENCH_backends.json``
+times whole runs as ``exact-bounded-majority-decide``.
 """
 
 from __future__ import annotations
@@ -55,6 +51,8 @@ from repro.core.graphs import LabeledGraph
 from repro.core.labels import Alphabet, Label
 from repro.core.machine import DistributedMachine, Neighborhood, State
 from repro.core.simulation import Verdict
+from repro.obs.metrics import get_metrics
+from repro.obs.tracing import get_tracer
 from repro.properties.threshold import LinearThresholdProperty
 
 
@@ -183,27 +181,144 @@ class AgentState:
         return (self.contribution, self.role, self.initial)
 
 
+#: The leader-layer roles; the protocol's lists hold their index.
+_ROLES = ("0", "L", "Ldouble", "Lreject", "error", "reject")
+_ZERO, _LEADER, _LDOUBLE, _LREJECT, _ERROR, _REJECT = range(len(_ROLES))
+_CODE = {role: code for code, role in enumerate(_ROLES)}
+#: What a broadcast does to a contribution.
+_KEEP, _DOUBLE, _RESET = range(3)
+
+
+def _response(source: int, own: int) -> tuple[int, int]:
+    """``(role, rule)`` of a non-initiator in role ``own`` hit by ``source``'s broadcast."""
+    if source == _ERROR:  # ⟨reset⟩: restart from the stored input
+        return _ZERO, _RESET
+    if own in (_LEADER, _LDOUBLE, _LREJECT):  # leaders disagreed: error, later ⟨reset⟩
+        return _ERROR, _KEEP
+    if own == _ZERO:
+        return (_ZERO, _DOUBLE) if source == _LDOUBLE else (_REJECT, _KEEP)
+    return own, _KEEP
+
+
+#: Per initiating role: its own move, then every non-initiator's by role.
+_INITIATE = {_LDOUBLE: (_LEADER, _DOUBLE), _LREJECT: (_REJECT, _KEEP), _ERROR: (_LEADER, _RESET)}
+_RESPOND = {
+    source: tuple(_response(source, own) for own in range(len(_ROLES))) for source in _INITIATE
+}
+
+
+class _Memo(dict):
+    """``fn(key)``, computed on first lookup and kept."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Run:
+    """One graph's super-steps on lists of contribution ids, role codes and input ids."""
+
+    def __init__(self, protocol: "BoundedDegreeMajorityProtocol", graph: LabeledGraph):
+        self.compiled = compiled = compile_machine(protocol._cancel)
+        self.stepper = GraphStepper(compiled, graph)
+        self.rng = protocol._rng
+        self.partition = protocol.observation == "partition"
+        k, bound, value = protocol.degree_bound, protocol.bound, compiled.state_of
+        self.small = _Memo(lambda q: -k <= value(q) <= k)
+        self.negative = _Memo(lambda q: value(q) <= -1)
+        self.doubled = _Memo(lambda q: compiled.intern(max(-bound, min(bound, 2 * value(q)))))
+
+    def super_step(self, contributions, roles, initial) -> tuple[list[int], list[int]]:
+        """⟨cancel⟩, detection, broadcast; returns the new contribution ids and roles."""
+        contributions = self.stepper.moves(contributions)  # ⟨cancel⟩
+        leaders = [i for i, role in enumerate(roles) if role == _LEADER]
+        if leaders:
+            roles = self._detect(contributions, roles, leaders)
+        initiators = [i for i, role in enumerate(roles) if role in _INITIATE]
+        if initiators:
+            roles = self._broadcast(contributions, roles, initial, initiators)
+        return contributions, roles
+
+    def _detect(self, contributions: list[int], roles: list[int], leaders: list[int]) -> list[int]:
+        """Weak absence detection: each leader sees itself and its block of followers.
+
+        Under ``"partition"`` with several leaders each non-leader joins the
+        block ``rng.choice`` picks, in index order; otherwise every block.
+        """
+        small, negative = self.small, self.negative
+        if self.partition and len(leaders) > 1:
+            choice = self.rng.choice
+            blocks = {leader: [set(), True, True] for leader in leaders}
+            for q, role in zip(contributions, roles):
+                if role != _LEADER:
+                    block = blocks[choice(leaders)]
+                    block[0].add(role)
+                    block[1] = block[1] and small[q]
+                    block[2] = block[2] and negative[q]
+        else:
+            followers = [q for q, role in zip(contributions, roles) if role != _LEADER]
+            seen = set(roles) - {_LEADER}
+            summary = (seen, all(small[q] for q in followers), all(negative[q] for q in followers))
+            blocks = dict.fromkeys(leaders, summary)
+        roles = roles[:]
+        for leader, (seen_roles, all_small, all_negative) in blocks.items():
+            q = contributions[leader]
+            if _REJECT in seen_roles:
+                roles[leader] = _ERROR
+            elif _ERROR in seen_roles:
+                roles[leader] = _ZERO
+            elif all_small and small[q]:
+                roles[leader] = _LDOUBLE
+            elif all_negative and negative[q]:
+                roles[leader] = _LREJECT
+        return roles
+
+    def _broadcast(self, contributions, roles, initial, initiators) -> list[int]:
+        """Weak broadcasts; updates ``contributions`` in place, returns the roles.
+
+        Each non-initiator reacts to one initiator: the first under
+        ``"global"``, else one drawn by ``rng.choice`` in index order.
+        """
+        doubled, starters, updated = self.doubled, set(initiators), roles[:]
+        choice = self.rng.choice if self.partition else None
+        fixed = _RESPOND[roles[initiators[0]]]
+        for i, own in enumerate(roles):
+            if i in starters:
+                role, rule = _INITIATE[own]
+            elif choice is None:
+                role, rule = fixed[own]
+            else:
+                role, rule = _RESPOND[roles[choice(initiators)]][own]
+            updated[i] = role
+            if rule == _DOUBLE:
+                contributions[i] = doubled[contributions[i]]
+            elif rule == _RESET:
+                contributions[i] = initial[i]
+        return updated
+
+
 @dataclass
 class BoundedDegreeMajorityProtocol:
     """The §6.1 algorithm at the DA$-with-absence-detection/broadcast level.
 
-    The protocol decides ``Σ coefficients[label] · x_label ≥ 0`` on graphs of
-    degree at most ``degree_bound`` under synchronous (hence adversarial-fair)
+    It decides ``Σ coefficients[label] · x_label ≥ 0`` on graphs of degree at
+    most ``degree_bound`` under synchronous (hence adversarial-fair)
     scheduling.  One :meth:`step` performs, in order,
 
-    1. a synchronous ⟨cancel⟩ neighbourhood round on the contributions,
-    2. a weak absence detection by all leaders (``detect``): a leader that
-       observes only small contributions arms itself for ⟨double⟩; one that
-       observes only negative contributions arms itself for ⟨reject⟩; a leader
-       that observes an error agent steps down; one that observes the reject
+    1. a synchronous ⟨cancel⟩ round on the contributions,
+    2. weak absence detection by all leaders: a leader that observes only
+       small contributions arms ⟨double⟩, only negative ones ⟨reject⟩; one
+       that observes an error agent steps down, one that observes the reject
        verdict enters the error state,
-    3. the weak broadcasts ⟨double⟩ / ⟨reject⟩ / ⟨reset⟩ of any armed agents
-       (when several are armed, a non-initiator reacts to exactly one of
-       them, chosen adversarially — here: at random / lowest id).
+    3. the weak broadcasts ⟨double⟩ / ⟨reject⟩ / ⟨reset⟩ of the armed agents
+       (a non-initiator reacts to exactly one, chosen adversarially — here the
+       lowest id, or at random under ``"partition"``).
 
-    ``observation`` selects how much of the configuration leaders see during
-    absence detection ("global" or a random covering partition), matching the
-    weak-absence-detection semantics of Definition 4.8.
+    ``observation`` (``"global"`` or a random covering ``"partition"``) is
+    what leaders see during absence detection, as in Definition 4.8.
     """
 
     alphabet: Alphabet
@@ -217,193 +332,77 @@ class BoundedDegreeMajorityProtocol:
     def __post_init__(self) -> None:
         if self.degree_bound < 1:
             raise ValueError("degree bound must be positive")
+        if self.observation not in ("global", "partition"):
+            raise ValueError(
+                f"observation must be 'global' or 'partition', not {self.observation!r}"
+            )
         self.bound = contribution_bound(self.coefficients, self.degree_bound)
-        self._cancel = cancellation_machine(
-            self.alphabet, self.coefficients, self.degree_bound
-        )
+        self._cancel = cancellation_machine(self.alphabet, self.coefficients, self.degree_bound)
         self._rng = random.Random(self.seed)
 
-    # ------------------------------------------------------------------ #
     def initial_configuration(self, graph: LabeledGraph) -> list[AgentState]:
-        return [
-            AgentState(
-                self.coefficients.get(graph.label_of(v), 0),
-                "L",
-                self.coefficients.get(graph.label_of(v), 0),
-            )
-            for v in graph.nodes()
-        ]
+        inputs = (self.coefficients.get(graph.label_of(v), 0) for v in graph.nodes())
+        return [AgentState(x, "L", x) for x in inputs]
 
-    def _cancel_round(
-        self, stepper: GraphStepper, configuration: list[AgentState]
-    ) -> list[AgentState]:
-        """Synchronous ⟨cancel⟩ on the contributions, through the compiled P_cancel."""
-        compiled = stepper.compiled
-        ids = tuple(compiled.intern(agent.contribution) for agent in configuration)
-        state_of = compiled.state_of
-        return [
-            AgentState(state_of(q), agent.role, agent.initial)
-            for q, agent in zip(stepper.moves(ids), configuration)
-        ]
-
-    def _observed_supports(
-        self, configuration: list[AgentState], leaders: list[int]
-    ) -> dict[int, list[AgentState]]:
-        """The support each leader observes during weak absence detection.
-
-        Mirroring the behaviour the Lemma 4.9 simulation actually produces,
-        a leader's observation consists of its own state plus the states of
-        *non-leader* agents assigned to it; the non-leaders are covered by
-        the blocks (globally, or by a random partition when
-        ``observation="partition"``).
-        """
-        followers = [
-            i for i in range(len(configuration)) if i not in leaders
-        ]
-        if self.observation == "global" or len(leaders) == 1:
-            return {
-                leader: [configuration[leader]] + [configuration[i] for i in followers]
-                for leader in leaders
-            }
-        blocks: dict[int, list[int]] = {leader: [leader] for leader in leaders}
-        for index in followers:
-            blocks[self._rng.choice(leaders)].append(index)
-        return {
-            leader: [configuration[i] for i in block] for leader, block in blocks.items()
-        }
-
-    def _detect_round(self, configuration: list[AgentState]) -> list[AgentState]:
-        leaders = [i for i, agent in enumerate(configuration) if agent.role == "L"]
-        if not leaders:
-            return configuration
-        observed = self._observed_supports(configuration, leaders)
-        updated = [AgentState(a.contribution, a.role, a.initial) for a in configuration]
-        k = self.degree_bound
-        for leader in leaders:
-            support = observed[leader]
-            roles = {agent.role for agent in support}
-            contributions = [agent.contribution for agent in support]
-            if "reject" in roles:
-                updated[leader].role = "error"
-            elif "error" in roles:
-                updated[leader].role = "0"
-            elif all(-k <= value <= k for value in contributions):
-                updated[leader].role = "Ldouble"
-            elif all(value <= -1 for value in contributions):
-                updated[leader].role = "Lreject"
-        return updated
-
-    def _broadcast_round(self, configuration: list[AgentState]) -> list[AgentState]:
-        initiators = [
-            i
-            for i, agent in enumerate(configuration)
-            if agent.role in ("Ldouble", "Lreject", "error")
-        ]
-        if not initiators:
-            return configuration
-        updated = [AgentState(a.contribution, a.role, a.initial) for a in configuration]
-        # Each non-initiator reacts to exactly one initiator's broadcast.
-        for index, agent in enumerate(configuration):
-            if index in initiators:
-                continue
-            source = configuration[self._pick_source(initiators)]
-            updated[index] = self._apply_response(agent, source.role)
-        for index in initiators:
-            updated[index] = self._apply_initiator(configuration[index])
-        return updated
-
-    def _pick_source(self, initiators: list[int]) -> int:
-        if self.observation == "global":
-            return initiators[0]
-        return self._rng.choice(initiators)
-
-    def _apply_response(self, agent: AgentState, source_role: str) -> AgentState:
-        if source_role == "Ldouble":
-            if agent.role in ("L", "Ldouble", "Lreject"):
-                # A leader hit by somebody else's broadcast becomes an error
-                # (the leaders disagreed): it will later trigger ⟨reset⟩.
-                return AgentState(agent.contribution, "error", agent.initial)
-            if agent.role == "0":
-                doubled = max(-self.bound, min(self.bound, 2 * agent.contribution))
-                return AgentState(doubled, "0", agent.initial)
-            return agent
-        if source_role == "Lreject":
-            if agent.role in ("L", "Ldouble", "Lreject"):
-                return AgentState(agent.contribution, "error", agent.initial)
-            if agent.role == "0":
-                return AgentState(agent.contribution, "reject", agent.initial)
-            return agent
-        # source_role == "error": ⟨reset⟩ — restart from the stored input.
-        return AgentState(agent.initial, "0", agent.initial)
-
-    def _apply_initiator(self, agent: AgentState) -> AgentState:
-        if agent.role == "Ldouble":
-            doubled = max(-self.bound, min(self.bound, 2 * agent.contribution))
-            return AgentState(doubled, "L", agent.initial)
-        if agent.role == "Lreject":
-            return AgentState(agent.contribution, "reject", agent.initial)
-        # error: restart the computation as a leader with the stored input.
-        return AgentState(agent.initial, "L", agent.initial)
-
-    # ------------------------------------------------------------------ #
     def step(self, graph: LabeledGraph, configuration: list[AgentState]) -> list[AgentState]:
         """One synchronous super-step: cancel, detect, broadcast."""
-        stepper = self._stepper(graph)
+        run = _Run(self, graph)
         try:
-            return self._super_step(stepper, configuration)
+            intern = run.compiled.intern
+            contributions = [intern(agent.contribution) for agent in configuration]
+            roles = [_CODE[agent.role] for agent in configuration]
+            initial = [intern(agent.initial) for agent in configuration]
+            contributions, roles = run.super_step(contributions, roles, initial)
         finally:
-            stepper.flush()
+            run.stepper.flush()
+        state_of = run.compiled.state_of
+        return [
+            AgentState(state_of(q), _ROLES[role], agent.initial)
+            for q, role, agent in zip(contributions, roles, configuration)
+        ]
 
-    def _stepper(self, graph: LabeledGraph) -> GraphStepper:
-        return GraphStepper(compile_machine(self._cancel), graph)
-
-    def _super_step(
-        self, stepper: GraphStepper, configuration: list[AgentState]
-    ) -> list[AgentState]:
-        configuration = self._cancel_round(stepper, configuration)
-        configuration = self._detect_round(configuration)
-        configuration = self._broadcast_round(configuration)
-        return configuration
-
-    def decide(
-        self, graph: LabeledGraph, max_steps: int = 400
-    ) -> tuple[Verdict, int]:
-        """Run the protocol and report the stable verdict.
+    def decide(self, graph: LabeledGraph, max_steps: int = 400) -> tuple[Verdict, int]:
+        """Run the protocol and report ``(verdict, rounds)``.
 
         The protocol rejects by flooding the ``reject`` role; it accepts by
-        never rejecting — operationally we report ACCEPT once the
-        contribution sum can no longer go negative (all contributions
-        non-negative with at least one leader alive), or when the step budget
-        is exhausted without a reject, which matches the stable-consensus
-        semantics of the ``≥ 0`` predicate.
+        never rejecting, reported once every contribution is non-negative
+        with no error pending, or when the budget runs out without a reject.
         """
         if not graph.is_degree_bounded(self.degree_bound):
             raise ValueError(
                 f"graph has degree {graph.max_degree()} > bound {self.degree_bound}"
             )
-        configuration = self.initial_configuration(graph)
-        stepper = self._stepper(graph)
-        try:
-            for step in range(1, max_steps + 1):
-                configuration = self._super_step(stepper, configuration)
-                if all(agent.role == "reject" for agent in configuration):
-                    return Verdict.REJECT, step
-                roles = {agent.role for agent in configuration}
-                clean = "error" not in roles and "reject" not in roles
-                if clean and all(agent.contribution >= 0 for agent in configuration):
-                    # With no pending errors the contribution sum is the
-                    # (possibly doubled) input sum; it is non-negative and can
-                    # never turn all-negative again, so the run will never
-                    # reject: accept.
-                    return Verdict.ACCEPT, step
-        finally:
-            stepper.flush()
-        # No reject within the budget: under stable consensus this is the
-        # accepting behaviour (the true sum is ≥ 0 and doubling continues
-        # forever), but we flag it as only presumed.
-        return Verdict.ACCEPT, max_steps
+        run = _Run(self, graph)
+        initial = [run.compiled.init_id(graph.label_of(v)) for v in graph.nodes()]
+        contributions, roles, negative = initial, [_LEADER] * len(initial), run.negative
+        tracer = get_tracer()
+        with tracer.span("run", engine="bounded-majority") as span:
+            try:
+                # No reject within the budget is presumed to accept: under
+                # stable consensus the sum is then ≥ 0 and doubling goes on.
+                verdict, rounds = Verdict.ACCEPT, max_steps
+                for step in range(1, max_steps + 1):
+                    contributions, roles = run.super_step(contributions, roles, initial)
+                    if _ERROR in roles or _REJECT in roles:
+                        if roles.count(_REJECT) == len(roles):
+                            verdict, rounds = Verdict.REJECT, step
+                            break
+                    elif not any(negative[q] for q in contributions):
+                        # No error pending: the sum is the (doubled) input sum,
+                        # ≥ 0, and can never turn all-negative again.
+                        verdict, rounds = Verdict.ACCEPT, step
+                        break
+            finally:
+                run.stepper.flush()
+            if tracer.enabled:
+                span.attrs["rounds"] = rounds
+                span.attrs["verdict"] = verdict.value
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("engine.runs", engine="bounded-majority").inc()
+            metrics.counter("engine.steps", engine="bounded-majority").inc(rounds)
+        return verdict, rounds
 
-    # ------------------------------------------------------------------ #
     def property(self) -> LinearThresholdProperty:
         """The homogeneous threshold predicate this instance decides."""
         return LinearThresholdProperty(

@@ -450,10 +450,11 @@ def exact_cancel_rounds_entry(ab: Alphabet, graphs: int, n: int, seed: int = 17)
     the contribution vectors the majority protocol passes through in its
     first super-steps (cancellation interleaved with doubling).  Both sides
     then evaluate one synchronous ⟨cancel⟩ round from every recorded vector:
-    the reference through ``successor``, the compiled side as the protocol
-    does it — intern the contributions, ask one stepper per graph for the
-    moves, decode.  The two round results must agree (``AssertionError``
-    otherwise).
+    the reference through ``successor``, the compiled side by interning the
+    contributions, asking one stepper per graph for the moves and decoding
+    them (``decide`` itself keeps the ids between rounds; see
+    :func:`exact_decide_entry`).  The two round results must agree
+    (``AssertionError`` otherwise).
     """
     import random
 
@@ -515,12 +516,83 @@ def exact_cancel_rounds_entry(ab: Alphabet, graphs: int, n: int, seed: int = 17)
     }
 
 
+def exact_decide_entry(
+    ab: Alphabet, graphs: int, n: int, max_steps: int = 400, seed: int = 19
+) -> dict:
+    """Whole §6.1 ``decide`` runs against their ⟨cancel⟩ rounds through ``successor``.
+
+    The protocol side times complete :meth:`BoundedDegreeMajorityProtocol.decide`
+    calls on ``graphs`` random degree-≤4 graphs with ``n`` nodes (global
+    observation, so repeats draw nothing and give equal runs).  The
+    reference side evaluates only the ⟨cancel⟩ round of each of those runs'
+    rounds through ``successor``, from the contribution vectors a ``step``
+    replay passes through.  ``speedup`` is reference over protocol time, so it
+    falls if detection or broadcast grow beyond the ⟨cancel⟩ round's O(n).
+    The replay must end where ``decide`` stopped (``AssertionError``
+    otherwise).
+    """
+    import random
+
+    from repro.constructions import cancellation_machine, majority_protocol_bounded
+    from repro.core.configuration import successor
+    from repro.core.graphs import random_connected_graph
+    from repro.core.simulation import Verdict
+
+    protocol = majority_protocol_bounded(ab, degree_bound=4)
+    machine = cancellation_machine(ab, protocol.coefficients, protocol.degree_bound)
+    rng = random.Random(seed)
+    cases = []
+    for i in range(graphs):
+        labels = [rng.choice("ab") for _ in range(n)]
+        cases.append(random_connected_graph(ab, labels, max_degree=4, seed=seed * 1000 + i))
+    outcomes, compiled_time = _best_of(
+        lambda: [protocol.decide(graph, max_steps) for graph in cases]
+    )
+    vectors = []
+    for graph, (verdict, rounds) in zip(cases, outcomes):
+        everyone = frozenset(graph.nodes())
+        configuration = protocol.initial_configuration(graph)
+        for _ in range(rounds):
+            vectors.append((graph, everyone, tuple(a.contribution for a in configuration)))
+            configuration = protocol.step(graph, configuration)
+        roles = {agent.role for agent in configuration}
+        rejected = roles == {"reject"}
+        accepted = not roles & {"error", "reject"} and all(
+            agent.contribution >= 0 for agent in configuration
+        )
+        if rejected != (verdict is Verdict.REJECT) or not (
+            rejected or accepted or rounds == max_steps
+        ):
+            raise AssertionError("exact decide: a step replay disagrees with decide")
+
+    def reference() -> list:
+        return [successor(machine, graph, vector, everyone) for graph, everyone, vector in vectors]
+
+    _, reference_time = _best_of(reference)
+    return {
+        "section": "exact",
+        "name": "exact-bounded-majority-decide",
+        "graph": "random-degree-4",
+        "n": n,
+        "graphs": graphs,
+        "rounds": len(vectors),
+        "verdicts": sorted({verdict.value for verdict, _ in outcomes}),
+        "identical_runs": True,
+        "reference_time": reference_time,
+        "compiled_time": compiled_time,
+        "reference_us_per_round": reference_time / len(vectors) * 1e6,
+        "us_per_round": compiled_time / len(vectors) * 1e6,
+        "speedup": reference_time / max(compiled_time, 1e-9),
+    }
+
+
 def exact_entries(ab: Alphabet, quick: bool = False) -> list[dict]:
     """The ``exact`` section: the exact decider's kernel against ``successor``."""
     return [
         exact_exploration_entry(ab, 4, 3),
         exact_exploration_entry(ab, 5, 3),
         exact_cancel_rounds_entry(ab, graphs=8 if quick else 24, n=30),
+        exact_decide_entry(ab, graphs=8 if quick else 24, n=30),
     ]
 
 

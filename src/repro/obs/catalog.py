@@ -57,10 +57,12 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=per-node \\| compiled \\| count \\| vector-batch"
-                        " \\| vector-pernode \\| population-<method> \\| exact`",
+                        " \\| vector-pernode \\| population-<method> \\| exact"
+                        " \\| bounded-majority`",
                         "completed runs per engine (lockstep engines count "
                         "retired, non-abandoned rows; `exact` counts finished "
-                        "configuration-graph explorations)",
+                        "configuration-graph explorations; `bounded-majority` "
+                        "counts §6.1 `decide` calls)",
                     ),
                 ),
             ),
@@ -70,7 +72,8 @@ CATALOG: tuple[CatalogSection, ...] = (
                 rows=(
                     (
                         "`engine=...`",
-                        "scheduler steps executed (lockstep engines: sum over rows)",
+                        "scheduler steps executed (lockstep engines: sum over "
+                        "rows; `bounded-majority`: synchronous super-steps)",
                     ),
                 ),
             ),

@@ -188,6 +188,11 @@ class TestBoundedDegreeMajority:
         assert protocol.decide(accept_graph)[0] is Verdict.ACCEPT
         assert protocol.decide(reject_graph)[0] is Verdict.REJECT
 
+    @pytest.mark.parametrize("observation", ["Global", "partitions", "", None])
+    def test_unknown_observation_rejected(self, ab, observation):
+        with pytest.raises(ValueError, match="observation"):
+            majority_protocol_bounded(ab, degree_bound=2, observation=observation)
+
     def test_degree_bound_enforced(self, ab):
         protocol = majority_protocol_bounded(ab, degree_bound=2)
         with pytest.raises(ValueError):

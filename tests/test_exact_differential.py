@@ -4,8 +4,10 @@ The exact decider and the §6.1 protocol step through the compiled transition
 tables (:class:`repro.core.compile.GraphStepper`).  This module keeps a plain
 breadth-first search over :func:`repro.core.configuration.successor` — the
 reference oracle — and asserts that the compiled route produces the same
-configuration graph (order included), the same decision reports under both
-fairness classes, and the same bounded-majority runs.
+configuration graph (order included) and the same decision reports under
+both fairness classes.  For the bounded-majority protocol it keeps the
+object-level ``AgentState`` super-step (:class:`ReferenceProtocol`) and
+asserts equal verdicts, round counts, steps and random-generator states.
 """
 
 from __future__ import annotations
@@ -224,60 +226,192 @@ def test_fuzz_triples_cover_every_verdict():
 # --------------------------------------------------------------------------- #
 # The §6.1 bounded-degree majority protocol
 # --------------------------------------------------------------------------- #
-class ReferenceCancelProtocol(BoundedDegreeMajorityProtocol):
-    """The protocol with its ⟨cancel⟩ round evaluated through ``successor``."""
+class ReferenceProtocol(BoundedDegreeMajorityProtocol):
+    """The §6.1 protocol as an object-level ``AgentState`` super-step.
 
-    def _stepper(self, graph):
-        self._graph = graph
-        return super()._stepper(graph)
+    Every round rebuilds the agent list: ⟨cancel⟩ through ``successor``,
+    leaders observing explicit supports, and each non-initiator picking its
+    broadcast source in index order — the semantics the interned
+    ``decide``/``step`` must reproduce draw for draw.  ``survivors`` counts
+    partition detections with followers after which two or more leaders are
+    still leaders.
+    """
 
-    def _cancel_round(self, stepper, configuration):
+    survivors = 0
+
+    def step(self, graph, configuration):
+        configuration = self._cancel_round(graph, configuration)
+        configuration = self._detect_round(configuration)
+        return self._broadcast_round(configuration)
+
+    def decide(self, graph, max_steps=400):
+        configuration = self.initial_configuration(graph)
+        for step in range(1, max_steps + 1):
+            configuration = self.step(graph, configuration)
+            if all(agent.role == "reject" for agent in configuration):
+                return Verdict.REJECT, step
+            roles = {agent.role for agent in configuration}
+            clean = "error" not in roles and "reject" not in roles
+            if clean and all(agent.contribution >= 0 for agent in configuration):
+                return Verdict.ACCEPT, step
+        return Verdict.ACCEPT, max_steps
+
+    def _cancel_round(self, graph, configuration):
         contributions = tuple(agent.contribution for agent in configuration)
-        everyone = frozenset(self._graph.nodes())
-        updated = successor(self._cancel, self._graph, contributions, everyone)
+        updated = successor(self._cancel, graph, contributions, frozenset(graph.nodes()))
         return [
             AgentState(updated[v], agent.role, agent.initial)
             for v, agent in enumerate(configuration)
         ]
 
+    def _observed_supports(self, configuration, leaders):
+        followers = [i for i in range(len(configuration)) if i not in leaders]
+        if self.observation == "global" or len(leaders) == 1:
+            return {
+                leader: [configuration[leader]] + [configuration[i] for i in followers]
+                for leader in leaders
+            }
+        blocks = {leader: [leader] for leader in leaders}
+        for index in followers:
+            blocks[self._rng.choice(leaders)].append(index)
+        return {leader: [configuration[i] for i in block] for leader, block in blocks.items()}
 
-def _random_bounded_graphs(count, seed):
+    def _detect_round(self, configuration):
+        leaders = [i for i, agent in enumerate(configuration) if agent.role == "L"]
+        if not leaders:
+            return configuration
+        observed = self._observed_supports(configuration, leaders)
+        updated = [AgentState(a.contribution, a.role, a.initial) for a in configuration]
+        k = self.degree_bound
+        for leader in leaders:
+            support = observed[leader]
+            roles = {agent.role for agent in support}
+            contributions = [agent.contribution for agent in support]
+            if "reject" in roles:
+                updated[leader].role = "error"
+            elif "error" in roles:
+                updated[leader].role = "0"
+            elif all(-k <= value <= k for value in contributions):
+                updated[leader].role = "Ldouble"
+            elif all(value <= -1 for value in contributions):
+                updated[leader].role = "Lreject"
+        partitioned = self.observation == "partition" and len(leaders) < len(configuration)
+        if partitioned and sum(updated[i].role == "L" for i in leaders) >= 2:
+            self.survivors += 1
+        return updated
+
+    def _broadcast_round(self, configuration):
+        initiators = [
+            i
+            for i, agent in enumerate(configuration)
+            if agent.role in ("Ldouble", "Lreject", "error")
+        ]
+        if not initiators:
+            return configuration
+        updated = [AgentState(a.contribution, a.role, a.initial) for a in configuration]
+        for index, agent in enumerate(configuration):
+            if index in initiators:
+                continue
+            if self.observation == "global":
+                source = configuration[initiators[0]]
+            else:
+                source = configuration[self._rng.choice(initiators)]
+            updated[index] = self._apply_response(agent, source.role)
+        for index in initiators:
+            updated[index] = self._apply_initiator(configuration[index])
+        return updated
+
+    def _apply_response(self, agent, source_role):
+        if source_role == "Ldouble":
+            if agent.role in ("L", "Ldouble", "Lreject"):
+                return AgentState(agent.contribution, "error", agent.initial)
+            if agent.role == "0":
+                doubled = max(-self.bound, min(self.bound, 2 * agent.contribution))
+                return AgentState(doubled, "0", agent.initial)
+            return agent
+        if source_role == "Lreject":
+            if agent.role in ("L", "Ldouble", "Lreject"):
+                return AgentState(agent.contribution, "error", agent.initial)
+            if agent.role == "0":
+                return AgentState(agent.contribution, "reject", agent.initial)
+            return agent
+        # source_role == "error": ⟨reset⟩ — restart from the stored input.
+        return AgentState(agent.initial, "0", agent.initial)
+
+    def _apply_initiator(self, agent):
+        if agent.role == "Ldouble":
+            doubled = max(-self.bound, min(self.bound, 2 * agent.contribution))
+            return AgentState(doubled, "L", agent.initial)
+        if agent.role == "Lreject":
+            return AgentState(agent.contribution, "reject", agent.initial)
+        # error: restart the computation as a leader with the stored input.
+        return AgentState(agent.initial, "L", agent.initial)
+
+
+def _random_bounded_graphs(count, seed, largest=14):
     rng = random.Random(seed)
     graphs = []
     for i in range(count):
-        n = rng.randint(3, 14)
+        n = rng.randint(3, largest)
         labels = [rng.choice("ab") for _ in range(n)]
         graphs.append(random_connected_graph(AB, labels, max_degree=4, seed=seed * 100 + i))
     return graphs
 
 
-@pytest.mark.parametrize("observation", ["global", "partition"])
-def test_bounded_majority_matches_reference_cancel(observation):
-    graphs = _random_bounded_graphs(24, seed=5)
-    compiled = majority_protocol_bounded(AB, degree_bound=4, observation=observation, seed=3)
-    reference = ReferenceCancelProtocol(
+def _twins(observation, coefficients=None, seed=3):
+    """The protocol under test and its reference, on equal parameters."""
+    kwargs = dict(
         alphabet=AB,
-        coefficients=dict(compiled.coefficients),
+        coefficients=coefficients or {"a": 1, "b": -1},
         degree_bound=4,
         observation=observation,
-        seed=3,
+        seed=seed,
     )
-    outcomes = [compiled.decide(graph, 120) for graph in graphs]
-    assert outcomes == [reference.decide(graph, 120) for graph in graphs]
+    return BoundedDegreeMajorityProtocol(**kwargs), ReferenceProtocol(**kwargs)
+
+
+@pytest.mark.parametrize("observation", ["global", "partition"])
+def test_bounded_majority_decide_matches_reference(observation):
+    graphs = _random_bounded_graphs(24, seed=5, largest=60)
+    protocol, reference = _twins(observation)
+    outcomes = []
+    for graph in graphs:
+        outcome = protocol.decide(graph, 150)
+        assert outcome == reference.decide(graph, 150), graph.name
+        assert protocol._rng.getstate() == reference._rng.getstate()
+        outcomes.append(outcome)
     assert {verdict for verdict, _ in outcomes} == {Verdict.ACCEPT, Verdict.REJECT}
+    assert max(graph.num_nodes for graph in graphs) >= 50
+    if observation == "partition":
+        # The per-follower block draws ran with several leaders left standing.
+        assert reference.survivors > 0
 
 
-def test_bounded_majority_step_matches_reference_cancel():
-    graph = _random_bounded_graphs(1, seed=9)[0]
-    compiled = majority_protocol_bounded(AB, degree_bound=4)
-    reference = ReferenceCancelProtocol(
-        alphabet=AB, coefficients=dict(compiled.coefficients), degree_bound=4
-    )
-    configuration = compiled.initial_configuration(graph)
+@pytest.mark.parametrize("observation", ["global", "partition"])
+def test_bounded_majority_step_matches_reference(observation):
+    graph = _random_bounded_graphs(1, seed=9, largest=40)[0]
+    protocol, reference = _twins(observation, coefficients={"a": 3, "b": -2})
+    configuration = protocol.initial_configuration(graph)
     for _ in range(10):
-        nxt = compiled.step(graph, configuration)
+        nxt = protocol.step(graph, configuration)
         assert nxt == reference.step(graph, configuration)
+        assert protocol._rng.getstate() == reference._rng.getstate()
         configuration = nxt
+
+
+@pytest.mark.parametrize("observation", ["global", "partition"])
+def test_bounded_majority_step_matches_reference_on_every_role(observation):
+    """Mixed configurations reach every (source role, own role) reaction."""
+    rng = random.Random(11)
+    protocol, reference = _twins(observation)
+    roles = ["0", "L", "Ldouble", "Lreject", "error", "reject"]
+    for graph in _random_bounded_graphs(30, seed=13, largest=20):
+        configuration = [
+            AgentState(rng.randint(-8, 8), rng.choice(roles), rng.randint(-1, 1))
+            for _ in graph.nodes()
+        ]
+        assert protocol.step(graph, configuration) == reference.step(graph, configuration)
+        assert protocol._rng.getstate() == reference._rng.getstate()
 
 
 def test_run_cancellation_matches_successor_trace():
@@ -315,3 +449,27 @@ def test_exact_exploration_is_counted_and_traced():
     assert lookups == report.configuration_count * graph.num_nodes
     runs = [r for r in tracer.records if r["name"] == "run" and r.get("engine") == "exact"]
     assert [r["configurations"] for r in runs] == [report.configuration_count]
+
+
+def test_bounded_majority_decide_is_counted_and_traced():
+    graph = _random_bounded_graphs(1, seed=9, largest=30)[0]
+    protocol = majority_protocol_bounded(AB, degree_bound=4)
+    registry = enable_metrics(reset=True)
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        verdict, rounds = protocol.decide(graph, 120)
+        counters = registry.snapshot().counters
+    finally:
+        set_tracer(previous)
+        disable_metrics()
+    assert counters["engine.runs{engine=bounded-majority}"] == 1
+    assert counters["engine.steps{engine=bounded-majority}"] == rounds
+    lookups = counters.get("memo.hits{table=compiled}", 0) + counters.get(
+        "memo.misses{table=compiled}", 0
+    )
+    assert lookups == rounds * graph.num_nodes
+    runs = [
+        r for r in tracer.records if r["name"] == "run" and r.get("engine") == "bounded-majority"
+    ]
+    assert [(r["rounds"], r["verdict"]) for r in runs] == [(rounds, verdict.value)]
